@@ -13,7 +13,7 @@
 //! EXPERIMENTS.md use `full`) plus the engine's `--jobs N` and
 //! `--no-cache` flags.
 
-use mtvp_engine::{builtin, Engine, EngineOptions, Mode, Scenario, SimConfig, Sweep};
+use mtvp_engine::{builtin, Engine, EngineOptions, Scenario, Sweep};
 use mtvp_workloads::Scale;
 
 /// Parse `--scale` from argv (default Small).
@@ -25,33 +25,9 @@ pub fn scale_from_args() -> Scale {
 /// default scale can apply).
 pub fn scale_opt_from_args() -> Option<Scale> {
     let args: Vec<String> = std::env::args().collect();
-    match args.iter().position(|a| a == "--scale") {
-        Some(i) => match args.get(i + 1).map(String::as_str) {
-            Some("tiny") => Some(Scale::Tiny),
-            Some("small") => Some(Scale::Small),
-            Some("full") => Some(Scale::Full),
-            other => panic!("unknown --scale {other:?} (expected tiny|small|full)"),
-        },
-        None => None,
-    }
-}
-
-/// Parse the first positional (non-flag) argument as a benchmark name,
-/// falling back to `default`. Flag values (e.g. the argument after
-/// `--scale`) are skipped.
-pub fn bench_from_args(default: &str) -> String {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--scale" || args[i] == "--jobs" {
-            i += 2;
-        } else if args[i].starts_with("--") {
-            i += 1;
-        } else {
-            return args[i].clone();
-        }
-    }
-    default.to_string()
+    let i = args.iter().position(|a| a == "--scale")?;
+    let v = args.get(i + 1).map_or("", String::as_str);
+    Some(mtvp_engine::parse_scale(v).unwrap_or_else(|e| panic!("--scale: {e}")))
 }
 
 /// The engine every figure binary runs on: disk cache (honouring
@@ -85,24 +61,6 @@ pub fn run_builtin(name: &str) -> (Scenario, Sweep) {
         .unwrap_or_else(|e| panic!("scenario {name}: {e}"));
     println!("[{name}] {}", report.summary());
     (scenario, report.sweep)
-}
-
-/// An MTVP configuration with `contexts` hardware contexts under the
-/// paper's default parameterization (Wang–Franklin predictor, ILP-pred
-/// selector).
-pub fn mtvp_config(contexts: usize) -> SimConfig {
-    let mut c = SimConfig::new(Mode::Mtvp);
-    c.contexts = contexts;
-    c
-}
-
-/// An oracle-predictor MTVP configuration with the given context count
-/// and thread-spawn latency (the Figure 2 parameterization).
-pub fn oracle_mtvp_config(contexts: usize, spawn_latency: u64) -> SimConfig {
-    let mut c = SimConfig::oracle(Mode::Mtvp);
-    c.contexts = contexts;
-    c.spawn_latency = spawn_latency;
-    c
 }
 
 /// Print a per-benchmark percent-speedup table in the paper's layout:

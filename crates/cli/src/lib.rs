@@ -10,8 +10,8 @@
 use mtvp_engine::{
     builtin, builtin_scenarios, chrome_trace, lint_program_cached, pipeview, reference_trace,
     render_speedup_table, run_program, run_program_at, run_program_traced, run_sampled, suite,
-    Cache, CacheMode, CkptStore, Engine, EngineOptions, Mode, PredictorKind, RunReport,
-    SamplingParams, Scale, Scenario, SelectorKind, SimConfig, TraceOptions,
+    Cache, CacheMode, CkptStore, Engine, EngineOptions, Mode, RunReport, SamplingParams, Scale,
+    Scenario, SimConfig, TraceOptions,
 };
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -257,31 +257,8 @@ impl std::fmt::Display for ParseArgsError {
 
 impl std::error::Error for ParseArgsError {}
 
-// The configuration vocabulary lives in `mtvp-core` (shared with scenario
-// files); these wrappers only adapt the error type.
-
 fn parse_scale(s: &str) -> Result<Scale, ParseArgsError> {
     mtvp_engine::parse_scale(s).map_err(|e| ParseArgsError(e.0))
-}
-
-fn parse_mode(s: &str) -> Result<Mode, ParseArgsError> {
-    mtvp_engine::parse_mode(s).map_err(|e| ParseArgsError(e.0))
-}
-
-fn parse_core(s: &str) -> Result<mtvp_engine::CoreKind, ParseArgsError> {
-    mtvp_engine::parse_core(s).map_err(|e| ParseArgsError(e.0))
-}
-
-fn parse_predictor(s: &str) -> Result<PredictorKind, ParseArgsError> {
-    mtvp_engine::parse_predictor(s).map_err(|e| ParseArgsError(e.0))
-}
-
-fn parse_selector(s: &str) -> Result<SelectorKind, ParseArgsError> {
-    mtvp_engine::parse_selector(s).map_err(|e| ParseArgsError(e.0))
-}
-
-fn parse_spawn_policy(s: &str) -> Result<mtvp_engine::SpawnPolicyKind, ParseArgsError> {
-    mtvp_engine::parse_spawn_policy(s).map_err(|e| ParseArgsError(e.0))
 }
 
 /// Positional value lookup for `--flag value` pairs.
@@ -295,66 +272,61 @@ fn get_flag<'a>(rest: &[&'a str], name: &str) -> Result<Option<&'a str>, ParseAr
     }
 }
 
-/// Machine-configuration flags shared by `run` and `trace`.
-fn parse_sim_config(rest: &[&str]) -> Result<(SimConfig, Scale), ParseArgsError> {
-    let mode = parse_mode(get_flag(rest, "--mode")?.unwrap_or("mtvp"))?;
-    let mut config = SimConfig::new(mode);
-    if let Some(v) = get_flag(rest, "--core")? {
-        config.core = parse_core(v)?;
+/// The flags `run` or `trace` handles itself, beside the knob table's.
+struct OwnFlags {
+    /// Flags followed by a value.
+    values: &'static [&'static str],
+    /// Flags without a value; one ending in `=` matches any argument it
+    /// prefixes (`--trace=4096`).
+    switches: &'static [&'static str],
+}
+
+const RUN_FLAGS: OwnFlags = OwnFlags {
+    values: &["--scale", "--cache-dir", "--trace-out", "--trace-window"],
+    switches: &[
+        "--json",
+        "--no-cache",
+        "--trace",
+        "--trace=",
+        "--trace-window=",
+    ],
+};
+
+const TRACE_FLAGS: OwnFlags = OwnFlags {
+    values: &["--scale", "--rows", "--trace-out", "--trace-window"],
+    switches: &["--trace", "--trace=", "--trace-window="],
+};
+
+/// Machine configuration for `run` and `trace`: every flag of the knob
+/// table (`rest[0]` is the benchmark). The command's `own` flags are left
+/// to the caller; any other argument is an error, so a misspelt flag
+/// never silently simulates the default.
+fn parse_sim_config(rest: &[&str], own: &OwnFlags) -> Result<(SimConfig, Scale), ParseArgsError> {
+    let mut settings = Vec::new();
+    let mut args = rest.iter().skip(1);
+    let missing = |flag: &str| ParseArgsError(format!("{flag} requires a value"));
+    while let Some(&arg) = args.next() {
+        if let Some(knob) = mtvp_engine::knob_for_flag(arg) {
+            let value = match knob.switch {
+                Some(on) => on,
+                None => args.next().ok_or_else(|| missing(arg))?,
+            };
+            settings.push((knob, arg.to_string(), serde::Value::Str(value.to_string())));
+        } else if own.values.contains(&arg) {
+            args.next().ok_or_else(|| missing(arg))?;
+        } else if !own
+            .switches
+            .iter()
+            .any(|s| arg == *s || (s.ends_with('=') && arg.starts_with(s)))
+        {
+            return Err(ParseArgsError(format!(
+                "unknown argument `{arg}`; see `mtvp-sim help`"
+            )));
+        }
     }
-    if let Some(v) = get_flag(rest, "--contexts")? {
-        config.contexts = v
-            .parse()
-            .map_err(|_| ParseArgsError(format!("bad --contexts `{v}`")))?;
-    }
-    if let Some(v) = get_flag(rest, "--predictor")? {
-        config.predictor = parse_predictor(v)?;
-    }
-    if let Some(v) = get_flag(rest, "--selector")? {
-        config.selector = parse_selector(v)?;
-    }
-    if let Some(v) = get_flag(rest, "--spawn-policy")? {
-        config.spawn_policy = parse_spawn_policy(v)?;
-    }
-    if let Some(v) = get_flag(rest, "--spawn-latency")? {
-        config.spawn_latency = v
-            .parse()
-            .map_err(|_| ParseArgsError(format!("bad --spawn-latency `{v}`")))?;
-    }
-    if let Some(v) = get_flag(rest, "--store-buffer")? {
-        config.store_buffer = v
-            .parse()
-            .map_err(|_| ParseArgsError(format!("bad --store-buffer `{v}`")))?;
-    }
-    if rest.contains(&"--no-prefetch") {
-        config.prefetcher = false;
-    }
-    if rest.contains(&"--cold-start") {
-        config.warm_start = false;
-    }
-    if let Some(v) = get_flag(rest, "--sample")? {
-        config.sampling = Some(SamplingParams::parse(v).map_err(|e| ParseArgsError(e.0))?);
-    }
-    if let Some(v) = get_flag(rest, "--cores")? {
-        config.cores = v
-            .parse()
-            .map_err(|_| ParseArgsError(format!("bad --cores `{v}`")))?;
-    }
-    if let Some(v) = get_flag(rest, "--l3")? {
-        config.l3 = mtvp_engine::L3Params::parse(v).map_err(|e| ParseArgsError(e.0))?;
-    }
-    if let Some(v) = get_flag(rest, "--interconnect")? {
-        config.interconnect_hop = v
-            .parse()
-            .map_err(|_| ParseArgsError(format!("bad --interconnect `{v}`")))?;
-    }
-    if rest.contains(&"--xspawn") || rest.contains(&"--cross-core-spawn") {
-        config.cross_core_spawn = true;
-    }
-    if let Some(v) = get_flag(rest, "--co")? {
-        config.co_workloads = v.split(',').map(|s| s.trim().to_string()).collect();
-    }
-    config.validate().map_err(|e| ParseArgsError(e.0))?;
+    let config = SimConfig::from_knobs(&settings)
+        .and_then(|c| c.validate().map(|()| c))
+        .map_err(|e| ParseArgsError(e.0))?;
     let scale = parse_scale(get_flag(rest, "--scale")?.unwrap_or("small"))?;
     Ok((config, scale))
 }
@@ -1448,7 +1420,7 @@ impl Command {
                     .filter(|a| !a.starts_with("--"))
                     .ok_or_else(|| ParseArgsError("run requires a benchmark name".into()))?
                     .to_string();
-                let (config, scale) = parse_sim_config(&rest)?;
+                let (config, scale) = parse_sim_config(&rest, &RUN_FLAGS)?;
                 let trace = parse_trace_spec(&rest)?;
                 if config.sampling.is_some() && trace.is_some() {
                     return Err(ParseArgsError(
@@ -1473,7 +1445,7 @@ impl Command {
                     .filter(|a| !a.starts_with("--"))
                     .ok_or_else(|| ParseArgsError("trace requires a benchmark name".into()))?
                     .to_string();
-                let (config, scale) = parse_sim_config(&rest)?;
+                let (config, scale) = parse_sim_config(&rest, &TRACE_FLAGS)?;
                 if config.sampling.is_some() {
                     return Err(ParseArgsError(
                         "--sample is incompatible with the trace command (sampled \
@@ -1922,15 +1894,17 @@ mtvp-sim — cycle-level SMT simulator with multithreaded value prediction
 
 USAGE:
   mtvp-sim list
-  mtvp-sim run <bench> [--mode M] [--core C] [--contexts N] [--predictor P] [--selector S]
-                       [--spawn-policy dynamic|static] [--spawn-latency N]
-                       [--store-buffer N] [--scale tiny|small|full]
-                       [--no-prefetch] [--cold-start] [--json]
+  mtvp-sim run <bench> [--mode M] [--oracle] [--core C] [--contexts N] [--predictor P]
+                       [--selector S] [--spawn-policy dynamic|static] [--spawn-latency N]
+                       [--store-buffer N] [--max-values-per-load N] [--mshrs N]
+                       [--no-prefetch] [--cold-start] [--no-fast-forward]
+                       [--inst-limit N] [--max-cycles N] [--scale tiny|small|full]
                        [--cores M] [--l3 KB:ASSOC:LAT] [--interconnect N]
                        [--xspawn] [--co spec1,spec2,...]
-                       [--sample W:I:U] [--no-cache] [--cache-dir DIR]
+                       [--sample W:I:U] [--json] [--no-cache] [--cache-dir DIR]
                        [--trace[=RING]] [--trace-out FILE] [--trace-window START:END]
-  mtvp-sim trace <bench> [run options] [--rows N] [--trace-out FILE]
+  mtvp-sim trace <bench> [machine options] [--scale S] [--rows N]
+                         [--trace[=RING]] [--trace-out FILE] [--trace-window START:END]
   mtvp-sim compare <bench> [--scale tiny|small|full]
   mtvp-sim disasm <bench> [--limit N]
   mtvp-sim lint [--all | <bench>...] [--scale tiny|small|full] [--json]
@@ -1961,6 +1935,20 @@ SELECTORS:  always ilp-pred l3-miss-oracle
 POLICIES:   dynamic (default: every confident load may spawn) | static
             (only loads inside statically selected spawn regions spawn;
             requires an out-of-order value-predicting mode)
+
+MACHINE OPTIONS:
+  Every option of `run` except --scale, --json, --no-cache, --cache-dir and
+  --trace* sets one configuration knob; a serve `config` object and a
+  scenario grid set the same knob under its field name (--contexts is
+  `contexts`, --no-prefetch is `\"prefetcher\": false`, --sample is
+  `sampling`, --interconnect is `interconnect_hop`, --co is `co_workloads`).
+  --mode picks the machine and its defaults (default mtvp); --oracle starts
+  from the idealized Section 5.1 machine instead (oracle predictor, 1-cycle
+  spawn, unbounded store buffer). --max-values-per-load needs
+  --mode multi-value. --mshrs sets the outstanding-miss capacity (default
+  16). --no-fast-forward simulates idle cycles one by one (same statistics,
+  slower). --inst-limit stops after N committed instructions; --max-cycles
+  bounds the run (default 500000000). An unknown option is an error.
 
 EXPERIMENTS:
   `exp run` drives a declarative scenario (the paper's figures are built
@@ -2057,6 +2045,7 @@ TRACING:
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mtvp_engine::PredictorKind;
 
     fn parse(words: &[&str]) -> Result<Command, ParseArgsError> {
         let v: Vec<String> = words.iter().map(|s| s.to_string()).collect();
@@ -2180,6 +2169,148 @@ mod tests {
         assert!(parse(&["run", "mcf", "--contexts"]).is_err());
         assert!(parse(&["frobnicate"]).is_err());
         assert!(parse(&["run", "mcf", "--scale", "gigantic"]).is_err());
+        // A misspelt or foreign flag is an error naming it, never a
+        // silently simulated default machine.
+        for (bad, named) in [
+            (
+                vec!["run", "gzip g", "--scale", "tiny", "--contexs", "2"],
+                "--contexs",
+            ),
+            (vec!["run", "mcf", "--contexts=4"], "--contexts=4"),
+            (vec!["run", "mcf", "--rows", "8"], "--rows"),
+            (vec!["trace", "mcf", "--json"], "--json"),
+            (vec!["run", "mcf", "stray"], "stray"),
+        ] {
+            let e = parse(&bad).unwrap_err();
+            assert!(e.0.contains(&format!("`{named}`")), "{bad:?}: {e}");
+        }
+        // Each command's own flags stay accepted.
+        assert!(parse(&[
+            "run",
+            "mcf",
+            "--json",
+            "--no-cache",
+            "--cache-dir",
+            "d",
+            "--trace=8",
+            "--trace-out",
+            "t.json",
+            "--trace-window=1:2",
+            "--scale",
+            "tiny",
+        ])
+        .is_ok());
+        assert!(parse(&["trace", "mcf", "--rows", "8", "--trace-window", "1:2"]).is_ok());
+    }
+
+    /// Every knob of the table means the same machine whether it comes
+    /// from a CLI flag (each alias), a serve `config` key or a scenario
+    /// grid key, and every flag is documented in `HELP`.
+    #[test]
+    fn every_knob_is_the_same_in_every_front_end() {
+        use serde::Value;
+        // An example value per knob in the CLI spelling, with the knobs it
+        // needs to validate. A knob without an example fails the test.
+        type Example = (
+            &'static str,
+            &'static str,
+            &'static [(&'static str, &'static str)],
+        );
+        let examples: &[Example] = &[
+            ("mode", "stvp", &[]),
+            ("oracle", "true", &[]),
+            ("core", "inorder", &[("mode", "baseline")]),
+            ("cores", "2", &[]),
+            ("l3", "2048:8:40", &[]),
+            ("interconnect_hop", "6", &[("cores", "2")]),
+            ("cross_core_spawn", "true", &[("cores", "2")]),
+            ("co_workloads", "synth:7", &[("cores", "2")]),
+            ("contexts", "4", &[]),
+            ("predictor", "dfcm", &[]),
+            ("selector", "always", &[]),
+            ("spawn_policy", "static", &[]),
+            ("spawn_latency", "16", &[]),
+            ("store_buffer", "64", &[]),
+            ("max_values_per_load", "2", &[("mode", "multi-value")]),
+            ("inst_limit", "100000", &[]),
+            ("max_cycles", "1000000", &[]),
+            ("prefetcher", "false", &[]),
+            ("mshrs", "4", &[]),
+            ("warm_start", "false", &[]),
+            ("fast_forward", "false", &[]),
+            ("sampling", "2000:20000:1000", &[]),
+        ];
+        let help: std::collections::HashSet<&str> = HELP
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .collect();
+        let cli = |settings: &[(&str, &str)], alias: usize| {
+            let mut argv = vec!["run".to_string(), "mcf".to_string()];
+            for (key, v) in settings {
+                let knob = mtvp_engine::knob(key).unwrap();
+                argv.push(knob.flags[alias.min(knob.flags.len() - 1)].to_string());
+                match knob.switch {
+                    Some(on) => assert_eq!(on, *v, "{key} is a switch"),
+                    None => argv.push(v.to_string()),
+                }
+            }
+            match Command::parse(&argv).unwrap_or_else(|e| panic!("{argv:?}: {e}")) {
+                Command::Run { config, .. } => config,
+                other => panic!("wrong parse: {other:?}"),
+            }
+        };
+        for knob in mtvp_engine::KNOBS {
+            let (_, value, needs) = examples
+                .iter()
+                .find(|(key, ..)| *key == knob.key)
+                .unwrap_or_else(|| panic!("no example for knob `{}`", knob.key));
+            for flag in knob.flags {
+                assert!(help.contains(flag), "{flag} is missing from HELP");
+            }
+            let mut settings = needs.to_vec();
+            settings.push((knob.key, value));
+            let want = cli(&settings, 0);
+            assert_ne!(want, cli(needs, 0), "`{}` changed nothing", knob.key);
+            for alias in 1..knob.flags.len() {
+                assert_eq!(cli(&settings, alias), want, "{}", knob.flags[alias]);
+            }
+
+            // serve: the canonical JSON form of each value.
+            let config = settings
+                .iter()
+                .map(|(key, v)| {
+                    let json = mtvp_engine::knob(key)
+                        .and_then(|k| k.canonical(&Value::Str(v.to_string())))
+                        .unwrap();
+                    (key.to_string(), json)
+                })
+                .collect();
+            let body = Value::Map(vec![
+                ("bench".to_string(), Value::Str("mcf".to_string())),
+                ("config".to_string(), Value::Map(config)),
+            ]);
+            let served = mtvp_serve::api::parse_run_request(&body).unwrap().config;
+            assert_eq!(served, want, "serve `{}`", knob.key);
+
+            // A scenario grid: the CLI spelling of each value.
+            let mut grid: Vec<(String, Value)> = settings
+                .iter()
+                .map(|(key, v)| (key.to_string(), Value::Str(v.to_string())))
+                .collect();
+            if !settings.iter().any(|(key, _)| *key == "mode") {
+                grid.push(("mode".to_string(), Value::Str("mtvp".to_string())));
+            }
+            let scenario = Value::Map(vec![
+                ("name".to_string(), Value::Str("parity".to_string())),
+                ("grids".to_string(), Value::Seq(vec![Value::Map(grid)])),
+            ]);
+            let scenario = <Scenario as serde::Deserialize>::from_value(&scenario).unwrap();
+            assert_eq!(
+                scenario.configs().unwrap()[0].1,
+                want,
+                "grid `{}`",
+                knob.key
+            );
+        }
     }
 
     #[test]

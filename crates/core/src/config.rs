@@ -1,8 +1,8 @@
 //! Experiment-level configuration: the machine modes of the paper's
 //! evaluation, lowered onto `mtvp-pipeline`'s mechanism-level switches,
-//! plus the shared CLI/scenario vocabulary for naming them and a
-//! validator that rejects nonsensical combinations before they burn
-//! simulation time.
+//! and a validator that rejects nonsensical combinations before they burn
+//! simulation time. The names and parsers of the knobs live in the
+//! [`KNOBS`](crate::KNOBS) table.
 
 use mtvp_pipeline::{FetchPolicy, PipelineConfig, PredictorKind, SelectorKind, VpConfig};
 use mtvp_workloads::Scale;
@@ -20,79 +20,6 @@ impl std::fmt::Display for ConfigError {
 }
 
 impl std::error::Error for ConfigError {}
-
-/// Parse a mode name (`baseline`, `stvp`, `mtvp`, …) as used by the CLI
-/// and scenario files.
-pub fn parse_mode(s: &str) -> Result<Mode, ConfigError> {
-    Ok(match s {
-        "baseline" => Mode::Baseline,
-        "stvp" => Mode::Stvp,
-        "mtvp" => Mode::Mtvp,
-        "mtvp-nostall" => Mode::MtvpNoStall,
-        "spawn-only" => Mode::SpawnOnly,
-        "wide-window" => Mode::WideWindow,
-        "multi-value" => Mode::MultiValue,
-        other => {
-            return Err(ConfigError(format!(
-                "unknown mode `{other}` (baseline|stvp|mtvp|mtvp-nostall|spawn-only|wide-window|multi-value)"
-            )))
-        }
-    })
-}
-
-/// Parse a predictor name (`none`, `oracle`, `wf`, …).
-pub fn parse_predictor(s: &str) -> Result<PredictorKind, ConfigError> {
-    Ok(match s {
-        "none" => PredictorKind::None,
-        "oracle" => PredictorKind::Oracle,
-        "wang-franklin" | "wf" => PredictorKind::WangFranklin,
-        "wf-liberal" => PredictorKind::WangFranklinLiberal,
-        "dfcm" => PredictorKind::Dfcm,
-        "stride" => PredictorKind::Stride,
-        "last-value" => PredictorKind::LastValue,
-        other => {
-            return Err(ConfigError(format!(
-                "unknown predictor `{other}` (none|oracle|wf|wf-liberal|dfcm|stride|last-value)"
-            )))
-        }
-    })
-}
-
-/// Parse a selector name (`always`, `ilp-pred`, `l3-miss-oracle`).
-pub fn parse_selector(s: &str) -> Result<SelectorKind, ConfigError> {
-    Ok(match s {
-        "always" => SelectorKind::Always,
-        "ilp-pred" | "ilp" => SelectorKind::IlpPred,
-        "l3-miss-oracle" | "l3" => SelectorKind::L3MissOracle,
-        other => {
-            return Err(ConfigError(format!(
-                "unknown selector `{other}` (always|ilp-pred|l3-miss-oracle)"
-            )))
-        }
-    })
-}
-
-/// Parse a core-module name (`ooo`, `inorder`).
-pub fn parse_core(s: &str) -> Result<CoreKind, ConfigError> {
-    Ok(match s {
-        "ooo" | "out-of-order" | "smt-ooo" => CoreKind::OutOfOrder,
-        "inorder" | "in-order" | "in-order-scalar" => CoreKind::InOrderScalar,
-        other => return Err(ConfigError(format!("unknown core `{other}` (ooo|inorder)"))),
-    })
-}
-
-/// Parse a spawn-policy name (`dynamic`, `static`).
-pub fn parse_spawn_policy(s: &str) -> Result<SpawnPolicyKind, ConfigError> {
-    Ok(match s {
-        "dynamic" | "dyn" => SpawnPolicyKind::Dynamic,
-        "static" | "hints" | "static-hints" => SpawnPolicyKind::Static,
-        other => {
-            return Err(ConfigError(format!(
-                "unknown spawn policy `{other}` (dynamic|static)"
-            )))
-        }
-    })
-}
 
 /// Parse a workload scale name (`tiny`, `small`, `full`).
 pub fn parse_scale(s: &str) -> Result<Scale, ConfigError> {
@@ -902,30 +829,40 @@ mod tests {
 
     #[test]
     fn vocabulary_parses_and_rejects() {
-        assert_eq!(parse_mode("mtvp-nostall").unwrap(), Mode::MtvpNoStall);
-        assert!(parse_mode("bogus").is_err());
-        assert_eq!(parse_predictor("wf").unwrap(), PredictorKind::WangFranklin);
-        assert!(parse_predictor("psychic").is_err());
-        assert_eq!(parse_selector("l3").unwrap(), SelectorKind::L3MissOracle);
-        assert!(parse_selector("never").is_err());
+        use crate::KnobValue;
+        assert_eq!(Mode::parse_cli("mtvp-nostall").unwrap(), Mode::MtvpNoStall);
+        assert!(Mode::parse_cli("bogus").is_err());
+        assert_eq!(
+            PredictorKind::parse_cli("wf").unwrap(),
+            PredictorKind::WangFranklin
+        );
+        assert!(PredictorKind::parse_cli("psychic").is_err());
+        assert_eq!(
+            SelectorKind::parse_cli("l3").unwrap(),
+            SelectorKind::L3MissOracle
+        );
+        assert!(SelectorKind::parse_cli("never").is_err());
         assert_eq!(parse_scale("tiny").unwrap(), Scale::Tiny);
         assert!(parse_scale("gigantic").is_err());
-        assert_eq!(parse_core("ooo").unwrap(), CoreKind::OutOfOrder);
-        assert_eq!(parse_core("inorder").unwrap(), CoreKind::InOrderScalar);
+        assert_eq!(CoreKind::parse_cli("ooo").unwrap(), CoreKind::OutOfOrder);
         assert_eq!(
-            parse_core("in-order-scalar").unwrap(),
+            CoreKind::parse_cli("inorder").unwrap(),
             CoreKind::InOrderScalar
         );
-        assert!(parse_core("vliw").is_err());
         assert_eq!(
-            parse_spawn_policy("dynamic").unwrap(),
+            CoreKind::parse_cli("in-order-scalar").unwrap(),
+            CoreKind::InOrderScalar
+        );
+        assert!(CoreKind::parse_cli("vliw").is_err());
+        assert_eq!(
+            SpawnPolicyKind::parse_cli("dynamic").unwrap(),
             SpawnPolicyKind::Dynamic
         );
         assert_eq!(
-            parse_spawn_policy("static").unwrap(),
+            SpawnPolicyKind::parse_cli("static").unwrap(),
             SpawnPolicyKind::Static
         );
-        assert!(parse_spawn_policy("psychic").is_err());
+        assert!(SpawnPolicyKind::parse_cli("psychic").is_err());
     }
 
     #[test]

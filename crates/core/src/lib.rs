@@ -3,8 +3,8 @@
 //! Experiment-level configuration of the *Multithreaded Value Prediction*
 //! reproduction (Tuck & Tullsen, HPCA-11 2005): the machine modes of the
 //! paper's evaluation, their lowering onto the mechanism-level pipeline
-//! and memory configurations, the shared naming vocabulary, and a
-//! validator.
+//! and memory configurations, the knob table every front end (CLI, serve,
+//! scenario files) parses configurations with, and a validator.
 //!
 //! Execution lives one layer up in `mtvp-engine` ([`run_program`] and
 //! friends, the cached sweep driver, the scenario format); this crate is
@@ -28,11 +28,12 @@
 #![warn(missing_docs)]
 
 mod config;
+mod knobs;
 
 pub use config::{
-    parse_core, parse_mode, parse_predictor, parse_scale, parse_selector, parse_spawn_policy,
-    ConfigError, CoreKind, L3Params, Mode, SamplingParams, SimConfig, SpawnPolicyKind,
+    parse_scale, ConfigError, CoreKind, L3Params, Mode, SamplingParams, SimConfig, SpawnPolicyKind,
 };
+pub use knobs::{knob, knob_for_flag, Knob, KnobValue, KNOBS};
 
 pub use mtvp_pipeline::{PipeStats, PredictorKind, SelectorKind};
 pub use mtvp_workloads::{suite, Scale, Suite, Workload};

@@ -52,10 +52,15 @@ fn fig1() -> Scenario {
     );
     s.grids = vec![
         ConfigGrid::new("base", Mode::Baseline),
-        ConfigGrid::new("stvp", Mode::Stvp).oracle(),
-        ConfigGrid::new("mtvp{contexts}", Mode::Mtvp)
-            .oracle()
-            .contexts(&[2, 4, 8]),
+        ConfigGrid {
+            oracle: true,
+            ..ConfigGrid::new("stvp", Mode::Stvp)
+        },
+        ConfigGrid {
+            oracle: true,
+            contexts: vec![2, 4, 8],
+            ..ConfigGrid::new("mtvp{contexts}", Mode::Mtvp)
+        },
     ];
     with_series(s, "base", &["stvp", "mtvp2", "mtvp4", "mtvp8"])
 }
@@ -69,11 +74,16 @@ fn fig2() -> Scenario {
     );
     s.grids = vec![
         ConfigGrid::new("base", Mode::Baseline),
-        ConfigGrid::new("stvp", Mode::Stvp).oracle(),
-        ConfigGrid::new("mtvp{contexts}@{spawn}", Mode::Mtvp)
-            .oracle()
-            .contexts(&[2, 4, 8])
-            .spawn_latency(&[1, 8, 16]),
+        ConfigGrid {
+            oracle: true,
+            ..ConfigGrid::new("stvp", Mode::Stvp)
+        },
+        ConfigGrid {
+            oracle: true,
+            contexts: vec![2, 4, 8],
+            spawn_latency: vec![1, 8, 16],
+            ..ConfigGrid::new("mtvp{contexts}@{spawn}", Mode::Mtvp)
+        },
     ];
     s.baseline = Some("base".to_string());
     s
@@ -89,7 +99,10 @@ fn fig3() -> Scenario {
     s.grids = vec![
         ConfigGrid::new("base", Mode::Baseline),
         ConfigGrid::new("stvp", Mode::Stvp),
-        ConfigGrid::new("mtvp{contexts}", Mode::Mtvp).contexts(&[2, 4, 8]),
+        ConfigGrid {
+            contexts: vec![2, 4, 8],
+            ..ConfigGrid::new("mtvp{contexts}", Mode::Mtvp)
+        },
     ];
     with_series(s, "base", &["stvp", "mtvp2", "mtvp4", "mtvp8"])
 }
@@ -148,7 +161,10 @@ fn storebuf() -> Scenario {
     );
     s.grids = vec![
         ConfigGrid::new("base", Mode::Baseline),
-        ConfigGrid::new("sb{sb}", Mode::Mtvp).store_buffer(&[4, 8, 16, 32, 64, 128, 256, 512]),
+        ConfigGrid {
+            store_buffer: vec![4, 8, 16, 32, 64, 128, 256, 512],
+            ..ConfigGrid::new("sb{sb}", Mode::Mtvp)
+        },
     ];
     s.baseline = Some("base".to_string());
     s
@@ -180,10 +196,22 @@ fn predictors() -> Scenario {
     );
     s.grids = vec![
         ConfigGrid::new("base", Mode::Baseline),
-        ConfigGrid::new("wang-franklin", Mode::Mtvp).predictor(PredictorKind::WangFranklin),
-        ConfigGrid::new("dfcm", Mode::Mtvp).predictor(PredictorKind::Dfcm),
-        ConfigGrid::new("stride", Mode::Mtvp).predictor(PredictorKind::Stride),
-        ConfigGrid::new("last-value", Mode::Mtvp).predictor(PredictorKind::LastValue),
+        ConfigGrid {
+            predictor: Some(PredictorKind::WangFranklin),
+            ..ConfigGrid::new("wang-franklin", Mode::Mtvp)
+        },
+        ConfigGrid {
+            predictor: Some(PredictorKind::Dfcm),
+            ..ConfigGrid::new("dfcm", Mode::Mtvp)
+        },
+        ConfigGrid {
+            predictor: Some(PredictorKind::Stride),
+            ..ConfigGrid::new("stride", Mode::Mtvp)
+        },
+        ConfigGrid {
+            predictor: Some(PredictorKind::LastValue),
+            ..ConfigGrid::new("last-value", Mode::Mtvp)
+        },
     ];
     with_series(
         s,
@@ -214,11 +242,12 @@ fn ablation() -> Scenario {
         ("cold-start", true, 16, false),
     ] {
         for (prefix, mode) in [("base", Mode::Baseline), ("mtvp", Mode::Mtvp)] {
-            let mut g = ConfigGrid::new(format!("{prefix}/{tag}"), mode)
-                .prefetcher(prefetch)
-                .mshrs(&[mshrs]);
-            g.warm_start = Some(warm);
-            grids.push(g);
+            grids.push(ConfigGrid {
+                prefetcher: Some(prefetch),
+                mshrs: vec![mshrs],
+                warm_start: Some(warm),
+                ..ConfigGrid::new(format!("{prefix}/{tag}"), mode)
+            });
         }
     }
     s.grids = grids;
@@ -244,11 +273,19 @@ fn sampled() -> Scenario {
          reference the error bound is measured against.",
     );
     s.grids = vec![
-        ConfigGrid::new("base", Mode::Baseline).sampling(sp),
-        ConfigGrid::new("stvp", Mode::Stvp).sampling(sp),
-        ConfigGrid::new("mtvp{contexts}", Mode::Mtvp)
-            .contexts(&[2, 4, 8])
-            .sampling(sp),
+        ConfigGrid {
+            sampling: Some(sp),
+            ..ConfigGrid::new("base", Mode::Baseline)
+        },
+        ConfigGrid {
+            sampling: Some(sp),
+            ..ConfigGrid::new("stvp", Mode::Stvp)
+        },
+        ConfigGrid {
+            contexts: vec![2, 4, 8],
+            sampling: Some(sp),
+            ..ConfigGrid::new("mtvp{contexts}", Mode::Mtvp)
+        },
     ];
     with_series(s, "base", &["stvp", "mtvp2", "mtvp4", "mtvp8"])
 }
@@ -265,9 +302,15 @@ fn baseline() -> Scenario {
          core axis of the framework end to end (DESIGN.md Section 15).",
     );
     s.grids = vec![
-        ConfigGrid::new("inorder", Mode::Baseline).core(CoreKind::InOrderScalar),
+        ConfigGrid {
+            core: CoreKind::InOrderScalar,
+            ..ConfigGrid::new("inorder", Mode::Baseline)
+        },
         ConfigGrid::new("ooo", Mode::Baseline),
-        ConfigGrid::new("mtvp4", Mode::Mtvp).contexts(&[4]),
+        ConfigGrid {
+            contexts: vec![4],
+            ..ConfigGrid::new("mtvp4", Mode::Mtvp)
+        },
     ];
     with_series(s, "inorder", &["ooo", "mtvp4"])
 }
@@ -294,10 +337,15 @@ fn hinted() -> Scenario {
     ];
     s.grids = vec![
         ConfigGrid::new("base", Mode::Baseline),
-        ConfigGrid::new("dynamic", Mode::Mtvp).contexts(&[4]),
-        ConfigGrid::new("static-hints", Mode::Mtvp)
-            .contexts(&[4])
-            .spawn_policy(SpawnPolicyKind::Static),
+        ConfigGrid {
+            contexts: vec![4],
+            ..ConfigGrid::new("dynamic", Mode::Mtvp)
+        },
+        ConfigGrid {
+            contexts: vec![4],
+            spawn_policy: Some(SpawnPolicyKind::Static),
+            ..ConfigGrid::new("static-hints", Mode::Mtvp)
+        },
     ];
     with_series(s, "base", &["dynamic", "static-hints"])
 }
@@ -325,11 +373,16 @@ fn cmp_scaling() -> Scenario {
     ];
     s.grids = vec![
         ConfigGrid::new("base", Mode::Baseline),
-        ConfigGrid::new("solo", Mode::Mtvp).contexts(&[4]),
-        ConfigGrid::new("cmp{cores}c", Mode::Mtvp)
-            .contexts(&[4])
-            .cores(&[2, 4])
-            .cross_core_spawn(true),
+        ConfigGrid {
+            contexts: vec![4],
+            ..ConfigGrid::new("solo", Mode::Mtvp)
+        },
+        ConfigGrid {
+            contexts: vec![4],
+            cores: vec![2, 4],
+            cross_core_spawn: Some(true),
+            ..ConfigGrid::new("cmp{cores}c", Mode::Mtvp)
+        },
     ];
     with_series(s, "base", &["solo", "cmp2c", "cmp4c"])
 }
@@ -355,19 +408,25 @@ fn mix_matrix() -> Scenario {
         latency: 50,
     };
     s.grids = vec![
-        ConfigGrid::new("solo", Mode::Mtvp)
-            .contexts(&[4])
-            .l3(half_l3),
-        ConfigGrid::new("vs-synth", Mode::Mtvp)
-            .contexts(&[4])
-            .cores(&[2])
-            .l3(half_l3)
-            .co_workloads(&["synth:11"]),
-        ConfigGrid::new("vs-phases", Mode::Mtvp)
-            .contexts(&[4])
-            .cores(&[2])
-            .l3(half_l3)
-            .co_workloads(&["phases:23"]),
+        ConfigGrid {
+            contexts: vec![4],
+            l3: Some(half_l3),
+            ..ConfigGrid::new("solo", Mode::Mtvp)
+        },
+        ConfigGrid {
+            contexts: vec![4],
+            cores: vec![2],
+            l3: Some(half_l3),
+            co_workloads: vec!["synth:11".to_string()],
+            ..ConfigGrid::new("vs-synth", Mode::Mtvp)
+        },
+        ConfigGrid {
+            contexts: vec![4],
+            cores: vec![2],
+            l3: Some(half_l3),
+            co_workloads: vec!["phases:23".to_string()],
+            ..ConfigGrid::new("vs-phases", Mode::Mtvp)
+        },
     ];
     with_series(s, "solo", &["vs-synth", "vs-phases"])
 }
@@ -394,20 +453,26 @@ fn interference() -> Scenario {
         latency: 50,
     };
     s.grids = vec![
-        ConfigGrid::new("solo", Mode::Mtvp)
-            .contexts(&[4])
-            .l3(small_l3),
-        ConfigGrid::new("pressured", Mode::Mtvp)
-            .contexts(&[4])
-            .cores(&[4])
-            .l3(small_l3)
-            .co_workloads(&["phases:5", "phases:6"]),
-        ConfigGrid::new("pressured+xspawn", Mode::Mtvp)
-            .contexts(&[4])
-            .cores(&[4])
-            .l3(small_l3)
-            .co_workloads(&["phases:5", "phases:6"])
-            .cross_core_spawn(true),
+        ConfigGrid {
+            contexts: vec![4],
+            l3: Some(small_l3),
+            ..ConfigGrid::new("solo", Mode::Mtvp)
+        },
+        ConfigGrid {
+            contexts: vec![4],
+            cores: vec![4],
+            l3: Some(small_l3),
+            co_workloads: vec!["phases:5".to_string(), "phases:6".to_string()],
+            ..ConfigGrid::new("pressured", Mode::Mtvp)
+        },
+        ConfigGrid {
+            contexts: vec![4],
+            cores: vec![4],
+            l3: Some(small_l3),
+            co_workloads: vec!["phases:5".to_string(), "phases:6".to_string()],
+            cross_core_spawn: Some(true),
+            ..ConfigGrid::new("pressured+xspawn", Mode::Mtvp)
+        },
     ];
     with_series(s, "solo", &["pressured", "pressured+xspawn"])
 }
@@ -424,7 +489,11 @@ fn smoke() -> Scenario {
     s.benches = vec!["mcf".to_string(), "mesa".to_string()];
     s.grids = vec![
         ConfigGrid::new("base", Mode::Baseline),
-        ConfigGrid::new("mtvp4", Mode::Mtvp).oracle().contexts(&[4]),
+        ConfigGrid {
+            oracle: true,
+            contexts: vec![4],
+            ..ConfigGrid::new("mtvp4", Mode::Mtvp)
+        },
     ];
     with_series(s, "base", &["mtvp4"])
 }

@@ -82,8 +82,8 @@ pub use sweep::{Cell, Sweep};
 // The experiment-level vocabulary, re-exported so dependents need only
 // this crate (mirrors the old `mtvp_core` surface).
 pub use mtvp_core::{
-    parse_core, parse_mode, parse_predictor, parse_scale, parse_selector, parse_spawn_policy,
-    ConfigError, CoreKind, L3Params, Mode, SamplingParams, SimConfig, SpawnPolicyKind,
+    knob, knob_for_flag, parse_scale, ConfigError, CoreKind, Knob, KnobValue, L3Params, Mode,
+    SamplingParams, SimConfig, SpawnPolicyKind, KNOBS,
 };
 pub use mtvp_obs::{chrome_trace, pipeview, Event, Registry, RingTracer};
 pub use mtvp_pipeline::{PipeStats, PredictorKind, SelectorKind};

@@ -7,8 +7,8 @@ use mtvp_isa::Program;
 use mtvp_mem::SharedL3Handle;
 use mtvp_obs::{NullTracer, RingTracer, Tracer};
 use mtvp_pipeline::{
-    CmpMachine, CoRunner, Core, InOrderMachine, Machine, PipeStats, PipelineConfig, SmtOooStages,
-    SmtOooStaticHintStages, StageSet, StagedCore, StaticHintMachine,
+    CmpMachine, CoRunner, Core, InOrderStages, PipeStats, PipelineConfig, SmtOooStages,
+    SmtOooStaticHintStages, StageSet, StagedCore,
 };
 use mtvp_workloads::synth::build_co_workload;
 use mtvp_workloads::Scale;
@@ -98,43 +98,62 @@ pub fn run_with_trace_at(
     trace: Arc<mtvp_isa::trace::Trace>,
     scale: Scale,
 ) -> RunResult {
-    if cfg.cores > 1 {
-        // CMP topologies: the co-runner fleet and the shared L3 wrap the
-        // same stage-set selection the single-core arms make below. The
-        // in-order core has no CMP composition (validate() rejects it).
-        return match (cfg.core, cfg.spawn_policy) {
-            (CoreKind::OutOfOrder, SpawnPolicyKind::Dynamic) => {
-                run_cmp_on::<NullTracer, SmtOooStages>(
-                    cfg, program, dyn_instrs, trace, scale, NullTracer,
-                )
-                .0
-            }
-            (CoreKind::OutOfOrder, SpawnPolicyKind::Static) => {
-                run_cmp_on::<NullTracer, SmtOooStaticHintStages>(
-                    cfg, program, dyn_instrs, trace, scale, NullTracer,
-                )
-                .0
-            }
-            (CoreKind::InOrderScalar, _) => {
-                panic!("SimConfig::validate rejects CMP topologies on the in-order core")
-            }
-        };
-    }
-    // The only place the (core, spawn policy) axes become a concrete
-    // machine type: every core module below this match is reached through
-    // the `Core` trait. The in-order core has no spawn decision point, so
-    // its arm ignores the policy (validate() rejects the combination).
+    run_on(cfg, program, dyn_instrs, trace, scale, NullTracer).0
+}
+
+/// The only place the (core, spawn policy) axes become a concrete stage
+/// set: every core module below this match is reached through the `Core`
+/// trait. The in-order core has no spawn decision point, so its arm
+/// ignores the policy (validate() rejects the combination).
+fn run_on<T: Tracer>(
+    cfg: &SimConfig,
+    program: &Program,
+    dyn_instrs: u64,
+    trace: Arc<mtvp_isa::trace::Trace>,
+    scale: Scale,
+    tracer: T,
+) -> (RunResult, T) {
     match (cfg.core, cfg.spawn_policy) {
         (CoreKind::OutOfOrder, SpawnPolicyKind::Dynamic) => {
-            run_with_trace_on::<Machine>(cfg, program, dyn_instrs, trace)
+            run_staged::<T, SmtOooStages>(cfg, program, dyn_instrs, trace, scale, tracer)
         }
         (CoreKind::OutOfOrder, SpawnPolicyKind::Static) => {
-            run_with_trace_on::<StaticHintMachine>(cfg, program, dyn_instrs, trace)
+            run_staged::<T, SmtOooStaticHintStages>(cfg, program, dyn_instrs, trace, scale, tracer)
         }
         (CoreKind::InOrderScalar, _) => {
-            run_with_trace_on::<InOrderMachine>(cfg, program, dyn_instrs, trace)
+            run_staged::<T, InOrderStages>(cfg, program, dyn_instrs, trace, scale, tracer)
         }
     }
+}
+
+/// Run one stage set: a single core, or (`cores > 1`) the CMP topology
+/// whose primary core traces into `tracer`.
+fn run_staged<T: Tracer, S: StageSet>(
+    cfg: &SimConfig,
+    program: &Program,
+    dyn_instrs: u64,
+    trace: Arc<mtvp_isa::trace::Trace>,
+    scale: Scale,
+    tracer: T,
+) -> (RunResult, T) {
+    if cfg.cores > 1 {
+        assert_eq!(
+            cfg.core,
+            CoreKind::OutOfOrder,
+            "SimConfig::validate rejects CMP topologies on the in-order core"
+        );
+        return run_cmp_on::<T, S>(cfg, program, dyn_instrs, trace, scale, tracer);
+    }
+    let mut machine = StagedCore::<'_, T, S>::build_core(
+        lowered_pipeline_config(cfg, program),
+        cfg.to_mem_config(),
+        program,
+        Some(trace),
+        tracer,
+        true,
+    );
+    let stats = machine.run();
+    (RunResult { stats, dyn_instrs }, machine.into_tracer())
 }
 
 /// Resolve, lint-gate, and functionally pre-execute the co-workloads of
@@ -208,24 +227,6 @@ fn run_cmp_on<T: Tracer, S: StageSet>(
     (RunResult { stats, dyn_instrs }, machine.into_tracer())
 }
 
-fn run_with_trace_on<'p, C: Core<'p>>(
-    cfg: &SimConfig,
-    program: &'p Program,
-    dyn_instrs: u64,
-    trace: Arc<mtvp_isa::trace::Trace>,
-) -> RunResult {
-    let mut machine = C::build_core(
-        lowered_pipeline_config(cfg, program),
-        cfg.to_mem_config(),
-        program,
-        Some(trace),
-        NullTracer,
-        true,
-    );
-    let stats = machine.run();
-    RunResult { stats, dyn_instrs }
-}
-
 /// Options for a traced run (see [`run_program_traced`]).
 #[derive(Clone, Debug)]
 pub struct TraceOptions {
@@ -252,73 +253,14 @@ pub fn run_program_traced(
     program: &Program,
     opts: &TraceOptions,
 ) -> (RunResult, RingTracer) {
-    if cfg.cores > 1 {
-        let (dyn_instrs, trace) = reference_trace(program);
-        let mut tracer = RingTracer::new(opts.ring);
-        if let Some((start, end)) = opts.window {
-            tracer = tracer.with_window(start, end);
-        }
-        // Only the primary core is traced; co-runner lifecycle events
-        // would interleave meaninglessly with the measured workload's.
-        return match (cfg.core, cfg.spawn_policy) {
-            (CoreKind::OutOfOrder, SpawnPolicyKind::Dynamic) => {
-                run_cmp_on::<RingTracer, SmtOooStages>(
-                    cfg,
-                    program,
-                    dyn_instrs,
-                    trace,
-                    Scale::Small,
-                    tracer,
-                )
-            }
-            (CoreKind::OutOfOrder, SpawnPolicyKind::Static) => {
-                run_cmp_on::<RingTracer, SmtOooStaticHintStages>(
-                    cfg,
-                    program,
-                    dyn_instrs,
-                    trace,
-                    Scale::Small,
-                    tracer,
-                )
-            }
-            (CoreKind::InOrderScalar, _) => {
-                panic!("SimConfig::validate rejects CMP topologies on the in-order core")
-            }
-        };
-    }
-    match (cfg.core, cfg.spawn_policy) {
-        (CoreKind::OutOfOrder, SpawnPolicyKind::Dynamic) => {
-            run_traced_on::<Machine<RingTracer>>(cfg, program, opts)
-        }
-        (CoreKind::OutOfOrder, SpawnPolicyKind::Static) => {
-            run_traced_on::<StaticHintMachine<RingTracer>>(cfg, program, opts)
-        }
-        (CoreKind::InOrderScalar, _) => {
-            run_traced_on::<InOrderMachine<RingTracer>>(cfg, program, opts)
-        }
-    }
-}
-
-fn run_traced_on<'p, C: Core<'p, RingTracer>>(
-    cfg: &SimConfig,
-    program: &'p Program,
-    opts: &TraceOptions,
-) -> (RunResult, RingTracer) {
     let (dyn_instrs, trace) = reference_trace(program);
     let mut tracer = RingTracer::new(opts.ring);
     if let Some((start, end)) = opts.window {
         tracer = tracer.with_window(start, end);
     }
-    let mut machine = C::build_core(
-        lowered_pipeline_config(cfg, program),
-        cfg.to_mem_config(),
-        program,
-        Some(trace),
-        tracer,
-        true,
-    );
-    let stats = machine.run();
-    (RunResult { stats, dyn_instrs }, machine.into_tracer())
+    // On a CMP only the primary core is traced; co-runner lifecycle
+    // events would interleave meaninglessly with the measured workload's.
+    run_on(cfg, program, dyn_instrs, trace, Scale::Small, tracer)
 }
 
 #[cfg(test)]

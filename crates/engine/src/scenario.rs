@@ -2,19 +2,19 @@
 //!
 //! A scenario names a figure-shaped experiment: which benchmarks, which
 //! scale, and a set of *configuration grids* — each a machine mode plus
-//! per-axis value lists (contexts × spawn latency × store buffer × MSHRs)
-//! that expand into labelled [`SimConfig`]s. The paper's figures ship as
-//! built-in scenarios (see [`crate::builtin`]); users can also load their
-//! own from JSON files via `mtvp-sim exp run ./my-scenario.json`.
+//! per-axis value lists (cores × contexts × spawn latency × store buffer
+//! × MSHRs) that expand into labelled [`SimConfig`]s. The paper's figures
+//! ship as built-in scenarios (see [`crate::builtin`]); users can also
+//! load their own from JSON files via `mtvp-sim exp run ./my-scenario.json`.
 //!
 //! Scenario files are deliberately tolerant: every field except a grid's
-//! `mode` has a default, and enum-valued fields accept the CLI vocabulary
-//! (`"mtvp-nostall"`, `"wf"`, `"l3"`, `"tiny"`) as well as the canonical
-//! variant names.
+//! `mode` has a default, and a grid's keys are the knob table's
+//! ([`KNOBS`](mtvp_core::KNOBS)), so every value accepts the CLI
+//! vocabulary (`"mtvp-nostall"`, `"wf"`, `"l3"`, `"2000:50000:1000"`) as
+//! well as the canonical serialized form. An unknown key is an error.
 
 use mtvp_core::{
-    parse_core, parse_mode, parse_predictor, parse_scale, parse_selector, parse_spawn_policy,
-    CoreKind, L3Params, Mode, SamplingParams, SimConfig, SpawnPolicyKind, Workload,
+    knob, CoreKind, KnobValue, L3Params, Mode, SamplingParams, SimConfig, SpawnPolicyKind, Workload,
 };
 use mtvp_pipeline::{PredictorKind, SelectorKind};
 use mtvp_workloads::Scale;
@@ -32,36 +32,48 @@ impl std::fmt::Display for ScenarioError {
 
 impl std::error::Error for ScenarioError {}
 
+/// The list-valued axes of a grid, outermost (slowest-varying) first,
+/// with their label placeholders.
+const AXES: [(&str, &str); 5] = [
+    ("cores", "{cores}"),
+    ("contexts", "{contexts}"),
+    ("spawn_latency", "{spawn}"),
+    ("store_buffer", "{sb}"),
+    ("mshrs", "{mshrs}"),
+];
+
 /// One grid of configurations sharing a machine mode.
 ///
-/// Every empty axis means "the mode's default value"; a non-empty axis
+/// Every field except `label` is a knob of the same name
+/// ([`KNOBS`](mtvp_core::KNOBS)). Every empty axis and every `None`
+/// override means "the mode's default value"; a non-empty axis
 /// multiplies the grid. The `label` is a template rendered once per grid
-/// point with `{contexts}`, `{spawn}`, `{sb}` and `{mshrs}` placeholders.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+/// point with `{cores}`, `{contexts}`, `{spawn}`, `{sb}` and `{mshrs}`
+/// placeholders. The derived `Deserialize` reads the complete serialized
+/// form; scenario files load through the tolerant [`Scenario`] reader.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ConfigGrid {
     /// Label template for the expanded configurations.
     pub label: String,
     /// Machine mode of every configuration in the grid.
     pub mode: Mode,
-    /// Core module every configuration in the grid runs on (defaults to
-    /// the out-of-order core; scenario files accept `"ooo"`/`"inorder"`).
+    /// Core module every configuration in the grid runs on.
     pub core: CoreKind,
     /// Start from [`SimConfig::oracle`] instead of [`SimConfig::new`].
     pub oracle: bool,
-    /// Hardware-context axis (empty: mode default).
+    /// Hardware-context axis.
     pub contexts: Vec<usize>,
-    /// Spawn-latency axis in cycles (empty: mode default).
+    /// Spawn-latency axis in cycles.
     pub spawn_latency: Vec<u64>,
-    /// Store-buffer-entries axis (empty: mode default).
+    /// Store-buffer-entries axis.
     pub store_buffer: Vec<usize>,
-    /// MSHR-capacity axis (empty: mode default).
+    /// MSHR-capacity axis.
     pub mshrs: Vec<usize>,
     /// Override the value predictor.
     pub predictor: Option<PredictorKind>,
     /// Override the load selector.
     pub selector: Option<SelectorKind>,
-    /// Override the spawn policy (scenario files accept `"dynamic"` /
-    /// `"static"`; `None`: mode default, i.e. dynamic).
+    /// Override the spawn policy.
     pub spawn_policy: Option<SpawnPolicyKind>,
     /// Override the stride prefetcher switch.
     pub prefetcher: Option<bool>,
@@ -69,14 +81,17 @@ pub struct ConfigGrid {
     pub warm_start: Option<bool>,
     /// Override values followed per load (MultiValue mode).
     pub max_values_per_load: Option<usize>,
+    /// Override the architectural instruction limit.
+    pub inst_limit: Option<u64>,
+    /// Override the hard cycle limit.
+    pub max_cycles: Option<u64>,
+    /// Override idle-cycle fast-forwarding.
+    pub fast_forward: Option<bool>,
     /// Two-tier sampled simulation schedule (`None`: full detailed).
-    /// Scenario files accept the CLI form `"window:interval:warmup"`.
     pub sampling: Option<SamplingParams>,
-    /// CMP core-count axis (empty: single core). Varies slowest; the
-    /// label template may use a `{cores}` placeholder.
+    /// CMP core-count axis (varies slowest).
     pub cores: Vec<usize>,
-    /// Override the shared-L3 shape. Scenario files accept the CLI form
-    /// `"kb:assoc:latency"`.
+    /// Override the shared-L3 shape.
     pub l3: Option<L3Params>,
     /// Override the core-to-L3 interconnect hop latency (cycles).
     pub interconnect_hop: Option<u64>,
@@ -105,6 +120,9 @@ impl ConfigGrid {
             prefetcher: None,
             warm_start: None,
             max_values_per_load: None,
+            inst_limit: None,
+            max_cycles: None,
+            fast_forward: None,
             sampling: None,
             cores: Vec::new(),
             l3: None,
@@ -114,208 +132,93 @@ impl ConfigGrid {
         }
     }
 
-    /// Builder: idealized (oracle predictor, 1-cycle spawn) base config.
-    pub fn oracle(mut self) -> ConfigGrid {
-        self.oracle = true;
-        self
-    }
-
-    /// Builder: the core module the grid runs on. The in-order core's
-    /// defaults (single context, no predictor) are applied by `expand`.
-    pub fn core(mut self, c: CoreKind) -> ConfigGrid {
-        self.core = c;
-        self
-    }
-
-    /// Builder: the contexts axis.
-    pub fn contexts(mut self, v: &[usize]) -> ConfigGrid {
-        self.contexts = v.to_vec();
-        self
-    }
-
-    /// Builder: the spawn-latency axis.
-    pub fn spawn_latency(mut self, v: &[u64]) -> ConfigGrid {
-        self.spawn_latency = v.to_vec();
-        self
-    }
-
-    /// Builder: the store-buffer axis.
-    pub fn store_buffer(mut self, v: &[usize]) -> ConfigGrid {
-        self.store_buffer = v.to_vec();
-        self
-    }
-
-    /// Builder: the MSHR axis.
-    pub fn mshrs(mut self, v: &[usize]) -> ConfigGrid {
-        self.mshrs = v.to_vec();
-        self
-    }
-
-    /// Builder: predictor override.
-    pub fn predictor(mut self, p: PredictorKind) -> ConfigGrid {
-        self.predictor = Some(p);
-        self
-    }
-
-    /// Builder: selector override.
-    pub fn selector(mut self, s: SelectorKind) -> ConfigGrid {
-        self.selector = Some(s);
-        self
-    }
-
-    /// Builder: spawn-policy override.
-    pub fn spawn_policy(mut self, p: SpawnPolicyKind) -> ConfigGrid {
-        self.spawn_policy = Some(p);
-        self
-    }
-
-    /// Builder: prefetcher override.
-    pub fn prefetcher(mut self, on: bool) -> ConfigGrid {
-        self.prefetcher = Some(on);
-        self
-    }
-
-    /// Builder: values-per-load override.
-    pub fn max_values_per_load(mut self, n: usize) -> ConfigGrid {
-        self.max_values_per_load = Some(n);
-        self
-    }
-
-    /// Builder: sampled-simulation schedule.
-    pub fn sampling(mut self, s: SamplingParams) -> ConfigGrid {
-        self.sampling = Some(s);
-        self
-    }
-
-    /// Builder: the CMP core-count axis.
-    pub fn cores(mut self, v: &[usize]) -> ConfigGrid {
-        self.cores = v.to_vec();
-        self
-    }
-
-    /// Builder: shared-L3 shape override.
-    pub fn l3(mut self, p: L3Params) -> ConfigGrid {
-        self.l3 = Some(p);
-        self
-    }
-
-    /// Builder: interconnect hop latency override.
-    pub fn interconnect_hop(mut self, cycles: u64) -> ConfigGrid {
-        self.interconnect_hop = Some(cycles);
-        self
-    }
-
-    /// Builder: cross-core spawning override.
-    pub fn cross_core_spawn(mut self, on: bool) -> ConfigGrid {
-        self.cross_core_spawn = Some(on);
-        self
-    }
-
-    /// Builder: co-runner workload specs.
-    pub fn co_workloads(mut self, specs: &[&str]) -> ConfigGrid {
-        self.co_workloads = specs.iter().map(|s| s.to_string()).collect();
-        self
-    }
-
     /// Expand the grid into labelled, validated configurations, nested
-    /// contexts → spawn → store buffer → MSHRs (outermost varies slowest).
+    /// cores → contexts → spawn → store buffer → MSHRs (outermost varies
+    /// slowest).
     pub fn expand(&self) -> Result<Vec<(String, SimConfig)>, ScenarioError> {
-        let mut base = if self.oracle {
-            SimConfig::oracle(self.mode)
-        } else {
-            SimConfig::new(self.mode)
+        let err = |e: mtvp_core::ConfigError| ScenarioError(e.0);
+        let Value::Map(fields) = self.to_value() else {
+            unreachable!("a struct serializes to a map")
         };
-        base.core = self.core;
-        if let Some(p) = self.predictor {
-            base.predictor = p;
-        }
-        if let Some(s) = self.selector {
-            base.selector = s;
-        }
-        if let Some(p) = self.spawn_policy {
-            base.spawn_policy = p;
-        }
-        if let Some(on) = self.prefetcher {
-            base.prefetcher = on;
-        }
-        if let Some(on) = self.warm_start {
-            base.warm_start = on;
-        }
-        if let Some(n) = self.max_values_per_load {
-            base.max_values_per_load = n;
-        }
-        if let Some(s) = self.sampling {
-            base.sampling = Some(s);
-        }
-        if let Some(p) = self.l3 {
-            base.l3 = p;
-        }
-        if let Some(h) = self.interconnect_hop {
-            base.interconnect_hop = h;
-        }
-        if let Some(x) = self.cross_core_spawn {
-            base.cross_core_spawn = x;
-        }
-        if !self.co_workloads.is_empty() {
-            base.co_workloads = self.co_workloads.clone();
-        }
-        let axis = |list: &[u64], default: u64| -> Vec<u64> {
-            if list.is_empty() {
-                vec![default]
-            } else {
-                list.to_vec()
-            }
-        };
-        let contexts = axis(
-            &self.contexts.iter().map(|&x| x as u64).collect::<Vec<_>>(),
-            base.contexts as u64,
-        );
-        let spawns = axis(&self.spawn_latency, base.spawn_latency);
-        let sbs = axis(
-            &self
-                .store_buffer
-                .iter()
-                .map(|&x| x as u64)
-                .collect::<Vec<_>>(),
-            base.store_buffer as u64,
-        );
-        let mshrs = axis(
-            &self.mshrs.iter().map(|&x| x as u64).collect::<Vec<_>>(),
-            base.mshrs as u64,
-        );
-        let cores = axis(
-            &self.cores.iter().map(|&x| x as u64).collect::<Vec<_>>(),
-            base.cores as u64,
-        );
-        let mut out = Vec::new();
-        for &nc in &cores {
-            for &c in &contexts {
-                for &sp in &spawns {
-                    for &sb in &sbs {
-                        for &ms in &mshrs {
-                            let mut cfg = base.clone();
-                            cfg.cores = nc as usize;
-                            cfg.contexts = c as usize;
-                            cfg.spawn_latency = sp;
-                            cfg.store_buffer = sb as usize;
-                            cfg.mshrs = ms as usize;
-                            let label = self
-                                .label
-                                .replace("{cores}", &nc.to_string())
-                                .replace("{contexts}", &c.to_string())
-                                .replace("{spawn}", &sp.to_string())
-                                .replace("{sb}", &sb.to_string())
-                                .replace("{mshrs}", &ms.to_string());
-                            cfg.validate().map_err(|e| {
-                                ScenarioError(format!("config `{label}` is invalid: {e}"))
-                            })?;
-                            out.push((label, cfg));
-                        }
-                    }
+        let (axes, overrides): (Vec<_>, Vec<_>) = fields
+            .into_iter()
+            .filter(|(key, v)| key != "label" && *v != Value::Seq(Vec::new()))
+            .partition(|(key, _)| AXES.iter().any(|(axis, _)| axis == key));
+        let base = SimConfig::from_knob_map(&Value::Map(overrides)).map_err(err)?;
+        let defaults = base.to_value();
+        let mut points = vec![(self.label.clone(), base)];
+        for (key, placeholder) in AXES {
+            let values = match axes.iter().find(|(axis, _)| axis == key) {
+                Some((_, Value::Seq(values))) => values.clone(),
+                _ => vec![defaults[key].clone()],
+            };
+            let knob = knob(key).map_err(err)?;
+            let mut next = Vec::with_capacity(points.len() * values.len());
+            for (label, cfg) in &points {
+                for v in &values {
+                    let mut cfg = cfg.clone();
+                    knob.set(&mut cfg, v).map_err(err)?;
+                    next.push((label.replace(placeholder, &v.to_string()), cfg));
                 }
             }
+            points = next;
         }
-        Ok(out)
+        for (label, cfg) in &points {
+            cfg.validate()
+                .map_err(|e| ScenarioError(format!("config `{label}` is invalid: {e}")))?;
+        }
+        Ok(points)
+    }
+
+    /// Load a grid from scenario JSON: `mode` is required, `label`
+    /// defaults to the mode's name, and every other key is a knob whose
+    /// value is parsed by the knob table (an axis takes a list of values,
+    /// or one).
+    fn from_scenario(v: &Value) -> Result<ConfigGrid, serde::Error> {
+        let Value::Map(entries) = v else {
+            return Err(serde::Error("config grid must be a JSON object".into()));
+        };
+        let mode = match v.get("mode") {
+            Some(m) => {
+                Mode::parse_value(m).map_err(|e| serde::Error(format!("field `mode`: {e}")))?
+            }
+            None => return Err(serde::Error("config grid requires a `mode`".into())),
+        };
+        let label = tolerant(v, "label", String::from_value, String::new())?;
+        let label = if label.is_empty() {
+            format!("{mode:?}").to_lowercase()
+        } else {
+            label
+        };
+        let Value::Map(mut fields) = ConfigGrid::new(label, mode).to_value() else {
+            unreachable!("a struct serializes to a map")
+        };
+        for (key, x) in entries {
+            if key == "label" || *x == Value::Null {
+                continue;
+            }
+            let knob = knob(key).map_err(|e| serde::Error(e.0))?;
+            let parsed = if AXES.iter().any(|(axis, _)| axis == key) {
+                let items = match x {
+                    Value::Seq(items) => items.as_slice(),
+                    one => std::slice::from_ref(one),
+                };
+                items
+                    .iter()
+                    .map(|i| knob.canonical(i))
+                    .collect::<Result<_, _>>()
+                    .map(Value::Seq)
+            } else {
+                knob.canonical(x)
+            };
+            let parsed = parsed.map_err(|e| serde::Error(format!("field `{key}`: {e}")))?;
+            let slot = fields
+                .iter_mut()
+                .find(|(k, _)| k == key)
+                .ok_or_else(|| serde::Error(format!("config grids have no `{key}` field")))?;
+            slot.1 = parsed;
+        }
+        ConfigGrid::from_value(&Value::Map(fields))
     }
 }
 
@@ -409,9 +312,7 @@ impl Scenario {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Tolerant deserialization: missing fields default, enum fields accept the
-// CLI vocabulary as well as the canonical variant names. (The derive shim
+// Tolerant deserialization: missing fields default. (The derive shim
 // requires every field to be present, which would make scenario files
 // needlessly verbose.)
 
@@ -425,118 +326,6 @@ where
     }
 }
 
-fn mode_value(v: &Value) -> Result<Mode, serde::Error> {
-    if let Ok(m) = Mode::from_value(v) {
-        return Ok(m);
-    }
-    let s = serde::str_get(v)?;
-    parse_mode(s).map_err(|e| serde::Error(e.0))
-}
-
-fn predictor_value(v: &Value) -> Result<PredictorKind, serde::Error> {
-    if let Ok(p) = PredictorKind::from_value(v) {
-        return Ok(p);
-    }
-    let s = serde::str_get(v)?;
-    parse_predictor(s).map_err(|e| serde::Error(e.0))
-}
-
-fn selector_value(v: &Value) -> Result<SelectorKind, serde::Error> {
-    if let Ok(s) = SelectorKind::from_value(v) {
-        return Ok(s);
-    }
-    let s = serde::str_get(v)?;
-    parse_selector(s).map_err(|e| serde::Error(e.0))
-}
-
-fn spawn_policy_value(v: &Value) -> Result<SpawnPolicyKind, serde::Error> {
-    if let Ok(p) = SpawnPolicyKind::from_value(v) {
-        return Ok(p);
-    }
-    let s = serde::str_get(v)?;
-    parse_spawn_policy(s).map_err(|e| serde::Error(e.0))
-}
-
-fn sampling_value(v: &Value) -> Result<SamplingParams, serde::Error> {
-    if let Ok(s) = SamplingParams::from_value(v) {
-        return Ok(s);
-    }
-    let s = serde::str_get(v)?;
-    SamplingParams::parse(s).map_err(|e| serde::Error(e.0))
-}
-
-fn l3_value(v: &Value) -> Result<L3Params, serde::Error> {
-    if let Ok(p) = L3Params::from_value(v) {
-        return Ok(p);
-    }
-    let s = serde::str_get(v)?;
-    L3Params::parse(s).map_err(|e| serde::Error(e.0))
-}
-
-fn core_value(v: &Value) -> Result<CoreKind, serde::Error> {
-    if let Ok(c) = CoreKind::from_value(v) {
-        return Ok(c);
-    }
-    let s = serde::str_get(v)?;
-    parse_core(s).map_err(|e| serde::Error(e.0))
-}
-
-fn scale_value(v: &Value) -> Result<Scale, serde::Error> {
-    if let Ok(s) = Scale::from_value(v) {
-        return Ok(s);
-    }
-    let s = serde::str_get(v)?;
-    parse_scale(s).map_err(|e| serde::Error(e.0))
-}
-
-impl Deserialize for ConfigGrid {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let label = tolerant(v, "label", String::from_value, String::new())?;
-        let mode = match v.get("mode") {
-            Some(m) => mode_value(m).map_err(|e| serde::Error(format!("field `mode`: {e}")))?,
-            None => return Err(serde::Error("config grid requires a `mode`".into())),
-        };
-        let mut grid = ConfigGrid::new(label, mode);
-        if grid.label.is_empty() {
-            grid.label = format!("{mode:?}").to_lowercase();
-        }
-        grid.core = tolerant(v, "core", core_value, CoreKind::OutOfOrder)?;
-        grid.oracle = tolerant(v, "oracle", bool::from_value, false)?;
-        grid.contexts = tolerant(v, "contexts", Vec::from_value, Vec::new())?;
-        grid.spawn_latency = tolerant(v, "spawn_latency", Vec::from_value, Vec::new())?;
-        grid.store_buffer = tolerant(v, "store_buffer", Vec::from_value, Vec::new())?;
-        grid.mshrs = tolerant(v, "mshrs", Vec::from_value, Vec::new())?;
-        grid.predictor = tolerant(v, "predictor", |x| predictor_value(x).map(Some), None)?;
-        grid.selector = tolerant(v, "selector", |x| selector_value(x).map(Some), None)?;
-        grid.spawn_policy = tolerant(v, "spawn_policy", |x| spawn_policy_value(x).map(Some), None)?;
-        grid.prefetcher = tolerant(v, "prefetcher", |x| bool::from_value(x).map(Some), None)?;
-        grid.warm_start = tolerant(v, "warm_start", |x| bool::from_value(x).map(Some), None)?;
-        grid.max_values_per_load = tolerant(
-            v,
-            "max_values_per_load",
-            |x| usize::from_value(x).map(Some),
-            None,
-        )?;
-        grid.sampling = tolerant(v, "sampling", |x| sampling_value(x).map(Some), None)?;
-        grid.cores = tolerant(v, "cores", Vec::from_value, Vec::new())?;
-        grid.l3 = tolerant(v, "l3", |x| l3_value(x).map(Some), None)?;
-        grid.interconnect_hop = tolerant(
-            v,
-            "interconnect_hop",
-            |x| u64::from_value(x).map(Some),
-            None,
-        )?;
-        grid.cross_core_spawn = tolerant(
-            v,
-            "cross_core_spawn",
-            |x| bool::from_value(x).map(Some),
-            None,
-        )?;
-        grid.co_workloads = tolerant(v, "co_workloads", Vec::from_value, Vec::new())?;
-        Ok(grid)
-    }
-}
-
 impl Deserialize for Scenario {
     fn from_value(v: &Value) -> Result<Self, serde::Error> {
         let name = tolerant(v, "name", String::from_value, String::new())?;
@@ -546,11 +335,28 @@ impl Deserialize for Scenario {
         let mut s = Scenario::new(&name, "", "");
         s.title = tolerant(v, "title", String::from_value, name.clone())?;
         s.description = tolerant(v, "description", String::from_value, String::new())?;
-        s.scale = tolerant(v, "scale", |x| scale_value(x).map(Some), None)?;
+        s.scale = tolerant(
+            v,
+            "scale",
+            |x| {
+                Scale::parse_value(x)
+                    .map(Some)
+                    .map_err(|e| serde::Error(e.0))
+            },
+            None,
+        )?;
         s.benches = tolerant(v, "benches", Vec::from_value, Vec::new())?;
         s.baseline = tolerant(v, "baseline", |x| String::from_value(x).map(Some), None)?;
         s.series = tolerant(v, "series", Vec::from_value, Vec::new())?;
-        s.grids = tolerant(v, "grids", Vec::from_value, Vec::new())?;
+        s.grids = tolerant(
+            v,
+            "grids",
+            |x| match x {
+                Value::Seq(grids) => grids.iter().map(ConfigGrid::from_scenario).collect(),
+                other => Err(serde::Error(format!("expected array, got {other}"))),
+            },
+            Vec::new(),
+        )?;
         Ok(s)
     }
 }
@@ -561,10 +367,12 @@ mod tests {
 
     #[test]
     fn grid_expands_nested_axes_with_labels() {
-        let grid = ConfigGrid::new("mtvp{contexts}.s{spawn}", Mode::Mtvp)
-            .oracle()
-            .contexts(&[2, 4])
-            .spawn_latency(&[1, 8]);
+        let grid = ConfigGrid {
+            oracle: true,
+            contexts: vec![2, 4],
+            spawn_latency: vec![1, 8],
+            ..ConfigGrid::new("mtvp{contexts}.s{spawn}", Mode::Mtvp)
+        };
         let configs = grid.expand().unwrap();
         assert_eq!(
             configs.iter().map(|(l, _)| l.as_str()).collect::<Vec<_>>(),
@@ -587,7 +395,10 @@ mod tests {
 
     #[test]
     fn invalid_grid_points_are_rejected() {
-        let grid = ConfigGrid::new("bad{contexts}", Mode::Baseline).contexts(&[8]);
+        let grid = ConfigGrid {
+            contexts: vec![8],
+            ..ConfigGrid::new("bad{contexts}", Mode::Baseline)
+        };
         assert!(grid.expand().is_err());
     }
 
@@ -607,9 +418,11 @@ mod tests {
         s.baseline = Some("base".into());
         s.grids = vec![
             ConfigGrid::new("base", Mode::Baseline),
-            ConfigGrid::new("mtvp{contexts}", Mode::Mtvp)
-                .oracle()
-                .contexts(&[2, 4, 8]),
+            ConfigGrid {
+                oracle: true,
+                contexts: vec![2, 4, 8],
+                ..ConfigGrid::new("mtvp{contexts}", Mode::Mtvp)
+            },
         ];
         let json = serde_json::to_string_pretty(&s).unwrap();
         let back: Scenario = serde_json::from_str(&json).unwrap();
@@ -662,7 +475,10 @@ mod tests {
         let mut s = Scenario::new("hinted-x", "x", "");
         s.grids = vec![
             ConfigGrid::new("dynamic", Mode::Mtvp),
-            ConfigGrid::new("static", Mode::Mtvp).spawn_policy(SpawnPolicyKind::Static),
+            ConfigGrid {
+                spawn_policy: Some(SpawnPolicyKind::Static),
+                ..ConfigGrid::new("static", Mode::Mtvp)
+            },
         ];
         let json = serde_json::to_string_pretty(&s).unwrap();
         let back: Scenario = serde_json::from_str(&json).unwrap();
@@ -698,7 +514,10 @@ mod tests {
     fn core_axis_round_trips_and_accepts_cli_vocabulary() {
         let mut s = Scenario::new("baseline-x", "x", "");
         s.grids = vec![
-            ConfigGrid::new("inorder", Mode::Baseline).core(CoreKind::InOrderScalar),
+            ConfigGrid {
+                core: CoreKind::InOrderScalar,
+                ..ConfigGrid::new("inorder", Mode::Baseline)
+            },
             ConfigGrid::new("ooo", Mode::Baseline),
         ];
         let json = serde_json::to_string_pretty(&s).unwrap();
@@ -722,9 +541,11 @@ mod tests {
         assert_eq!(configs[1].1.core, CoreKind::OutOfOrder);
 
         // Knobs the in-order core rejects are caught at expansion time.
-        let grid = ConfigGrid::new("io{contexts}", Mode::Baseline)
-            .core(CoreKind::InOrderScalar)
-            .contexts(&[4]);
+        let grid = ConfigGrid {
+            core: CoreKind::InOrderScalar,
+            contexts: vec![4],
+            ..ConfigGrid::new("io{contexts}", Mode::Baseline)
+        };
         let e = grid.expand().unwrap_err();
         assert!(e.0.contains("in-order"), "{e}");
     }
@@ -734,15 +555,17 @@ mod tests {
         let mut s = Scenario::new("cmp-x", "x", "");
         s.grids = vec![
             ConfigGrid::new("base", Mode::Mtvp),
-            ConfigGrid::new("cmp{cores}c", Mode::Mtvp)
-                .cores(&[2, 4])
-                .l3(L3Params {
+            ConfigGrid {
+                cores: vec![2, 4],
+                l3: Some(L3Params {
                     kb: 2048,
                     assoc: 8,
                     latency: 40,
-                })
-                .interconnect_hop(6)
-                .cross_core_spawn(true),
+                }),
+                interconnect_hop: Some(6),
+                cross_core_spawn: Some(true),
+                ..ConfigGrid::new("cmp{cores}c", Mode::Mtvp)
+            },
         ];
         let json = serde_json::to_string_pretty(&s).unwrap();
         let back: Scenario = serde_json::from_str(&json).unwrap();
@@ -789,5 +612,13 @@ mod tests {
         assert!(Scenario::from_json(r#"{"grids": []}"#).is_err());
         let e = Scenario::from_json(r#"{"name": "x", "grids": [{"mode": "warp9"}]}"#).unwrap_err();
         assert!(e.0.contains("unknown mode"), "{e}");
+        // A misspelt knob is an error, never a silently simulated default.
+        let e =
+            Scenario::from_json(r#"{"name": "x", "grids": [{"mode": "mtvp", "prefetch": false}]}"#)
+                .unwrap_err();
+        assert!(
+            e.0.contains("unknown config field `prefetch` (expected one of:"),
+            "{e}"
+        );
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! Parsing is strict where it guards the cache (unknown config fields
 //! are rejected with 422 so a typo never silently simulates the default)
-//! and tolerant where the CLI is tolerant (enum fields accept the CLI
-//! vocabulary — `"mtvp-nostall"`, `"wf"`, `"tiny"` — as well as the
-//! canonical variant names, exactly like scenario files).
+//! and tolerant where the CLI is tolerant: a `config` object is resolved
+//! by the knob table, so every value accepts the CLI vocabulary —
+//! `"mtvp-nostall"`, `"wf"`, `"2000:20000:1000"` — as well as the
+//! canonical serialized form, exactly like scenario files.
 //!
 //! Response construction is centralized here so the differential test
 //! can rely on one invariant: the `"stats"` subtree of a `/run` response
@@ -12,43 +13,14 @@
 //! engine would serialize directly, because the vendored `Value` keeps
 //! insertion order and prints deterministically.
 
-use mtvp_engine::{
-    builtin, parse_core, parse_mode, parse_predictor, parse_scale, parse_selector,
-    parse_spawn_policy, CellEntry, CoreKind, L3Params, Mode, PredictorKind, RunReport,
-    SamplingParams, Scale, Scenario, SelectorKind, SimConfig, SpawnPolicyKind,
-};
+use mtvp_engine::{builtin, CellEntry, KnobValue, RunReport, Scale, Scenario, SimConfig};
 use serde::{Deserialize, Serialize, Value};
 
-/// Every key accepted in a `/run` request body.
+/// Every key accepted in a `/run` request body. The keys of its `config`
+/// object are the knob table's ([`KNOBS`](mtvp_engine::KNOBS)).
 const RUN_KEYS: &[&str] = &["bench", "config", "scale", "wait", "timeout_ms"];
 /// Every key accepted in a `/sweep` request body.
 const SWEEP_KEYS: &[&str] = &["scenario", "scale", "benches", "wait", "timeout_ms"];
-/// Every key accepted in a `config` object ([`SimConfig`] fields plus the
-/// `oracle` base-config switch grids also understand).
-const CONFIG_KEYS: &[&str] = &[
-    "mode",
-    "core",
-    "oracle",
-    "contexts",
-    "predictor",
-    "selector",
-    "spawn_policy",
-    "spawn_latency",
-    "store_buffer",
-    "max_values_per_load",
-    "inst_limit",
-    "max_cycles",
-    "prefetcher",
-    "mshrs",
-    "warm_start",
-    "fast_forward",
-    "sampling",
-    "cores",
-    "l3",
-    "interconnect_hop",
-    "cross_core_spawn",
-    "co_workloads",
-];
 
 /// A validated `POST /run` body.
 #[derive(Clone, Debug)]
@@ -93,32 +65,6 @@ fn reject_unknown_keys(v: &Value, known: &[&str], what: &str) -> Result<(), Stri
     Ok(())
 }
 
-fn mode_value(v: &Value) -> Result<Mode, String> {
-    if let Ok(m) = Mode::from_value(v) {
-        return Ok(m);
-    }
-    let s = v.as_str().ok_or_else(|| format!("bad mode {v}"))?;
-    parse_mode(s).map_err(|e| e.0)
-}
-
-fn scale_value(v: &Value) -> Result<Scale, String> {
-    if let Ok(s) = Scale::from_value(v) {
-        return Ok(s);
-    }
-    let s = v.as_str().ok_or_else(|| format!("bad scale {v}"))?;
-    parse_scale(s).map_err(|e| e.0)
-}
-
-fn usize_field(v: &Value, key: &str) -> Result<Option<usize>, String> {
-    match v.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(x) => x
-            .as_u64()
-            .map(|n| Some(n as usize))
-            .ok_or_else(|| format!("field `{key}` must be a non-negative integer")),
-    }
-}
-
 fn u64_field(v: &Value, key: &str) -> Result<Option<u64>, String> {
     match v.get(key) {
         None | Some(Value::Null) => Ok(None),
@@ -139,133 +85,6 @@ fn bool_field(v: &Value, key: &str) -> Result<Option<bool>, String> {
     }
 }
 
-/// Resolve a request `config` object into a validated [`SimConfig`]:
-/// start from the mode's default (or oracle) configuration and overlay
-/// each present field. A full serialized `SimConfig` round-trips exactly;
-/// a sparse `{"mode": "mtvp", "contexts": 4}` works too.
-///
-/// # Errors
-/// Returns a message naming the offending field; unknown fields are
-/// rejected rather than ignored.
-pub fn config_from_value(v: Option<&Value>) -> Result<SimConfig, String> {
-    let empty = Value::Map(Vec::new());
-    let v = v.unwrap_or(&empty);
-    reject_unknown_keys(v, CONFIG_KEYS, "config")?;
-    let mode = match v.get("mode") {
-        None | Some(Value::Null) => Mode::Mtvp,
-        Some(m) => mode_value(m)?,
-    };
-    let oracle = bool_field(v, "oracle")?.unwrap_or(false);
-    let mut cfg = if oracle {
-        SimConfig::oracle(mode)
-    } else {
-        SimConfig::new(mode)
-    };
-    if let Some(cv) = v.get("core").filter(|x| !matches!(x, Value::Null)) {
-        cfg.core = match CoreKind::from_value(cv) {
-            Ok(k) => k,
-            Err(_) => {
-                let s = cv.as_str().ok_or_else(|| format!("bad core {cv}"))?;
-                parse_core(s).map_err(|e| e.0)?
-            }
-        };
-    }
-    if let Some(n) = usize_field(v, "contexts")? {
-        cfg.contexts = n;
-    }
-    if let Some(p) = v.get("predictor").filter(|x| !matches!(x, Value::Null)) {
-        cfg.predictor = match PredictorKind::from_value(p) {
-            Ok(k) => k,
-            Err(_) => {
-                let s = p.as_str().ok_or_else(|| format!("bad predictor {p}"))?;
-                parse_predictor(s).map_err(|e| e.0)?
-            }
-        };
-    }
-    if let Some(sv) = v.get("selector").filter(|x| !matches!(x, Value::Null)) {
-        cfg.selector = match SelectorKind::from_value(sv) {
-            Ok(k) => k,
-            Err(_) => {
-                let s = sv.as_str().ok_or_else(|| format!("bad selector {sv}"))?;
-                parse_selector(s).map_err(|e| e.0)?
-            }
-        };
-    }
-    if let Some(pv) = v.get("spawn_policy").filter(|x| !matches!(x, Value::Null)) {
-        cfg.spawn_policy = match SpawnPolicyKind::from_value(pv) {
-            Ok(k) => k,
-            Err(_) => {
-                let s = pv
-                    .as_str()
-                    .ok_or_else(|| format!("bad spawn_policy {pv}"))?;
-                parse_spawn_policy(s).map_err(|e| e.0)?
-            }
-        };
-    }
-    if let Some(n) = u64_field(v, "spawn_latency")? {
-        cfg.spawn_latency = n;
-    }
-    if let Some(n) = usize_field(v, "store_buffer")? {
-        cfg.store_buffer = n;
-    }
-    if let Some(n) = usize_field(v, "max_values_per_load")? {
-        cfg.max_values_per_load = n;
-    }
-    if let Some(n) = u64_field(v, "inst_limit")? {
-        cfg.inst_limit = n;
-    }
-    if let Some(n) = u64_field(v, "max_cycles")? {
-        cfg.max_cycles = n;
-    }
-    if let Some(b) = bool_field(v, "prefetcher")? {
-        cfg.prefetcher = b;
-    }
-    if let Some(n) = usize_field(v, "mshrs")? {
-        cfg.mshrs = n;
-    }
-    if let Some(b) = bool_field(v, "warm_start")? {
-        cfg.warm_start = b;
-    }
-    if let Some(b) = bool_field(v, "fast_forward")? {
-        cfg.fast_forward = b;
-    }
-    if let Some(sv) = v.get("sampling").filter(|x| !matches!(x, Value::Null)) {
-        cfg.sampling = Some(match SamplingParams::from_value(sv) {
-            Ok(p) => p,
-            Err(_) => {
-                let s = sv
-                    .as_str()
-                    .ok_or_else(|| format!("bad sampling schedule {sv}"))?;
-                SamplingParams::parse(s).map_err(|e| e.0)?
-            }
-        });
-    }
-    if let Some(n) = usize_field(v, "cores")? {
-        cfg.cores = n;
-    }
-    if let Some(lv) = v.get("l3").filter(|x| !matches!(x, Value::Null)) {
-        cfg.l3 = match L3Params::from_value(lv) {
-            Ok(p) => p,
-            Err(_) => {
-                let s = lv.as_str().ok_or_else(|| format!("bad l3 shape {lv}"))?;
-                L3Params::parse(s).map_err(|e| e.0)?
-            }
-        };
-    }
-    if let Some(n) = u64_field(v, "interconnect_hop")? {
-        cfg.interconnect_hop = n;
-    }
-    if let Some(b) = bool_field(v, "cross_core_spawn")? {
-        cfg.cross_core_spawn = b;
-    }
-    if let Some(cv) = v.get("co_workloads").filter(|x| !matches!(x, Value::Null)) {
-        cfg.co_workloads = Vec::from_value(cv)
-            .map_err(|_| "field `co_workloads` must be a string list".to_string())?;
-    }
-    cfg.validate().map_err(|e| e.0)?;
-    Ok(cfg)
-}
-
 /// Parse and validate a `POST /run` body.
 ///
 /// # Errors
@@ -278,10 +97,15 @@ pub fn parse_run_request(body: &Value) -> Result<RunRequest, String> {
         .and_then(Value::as_str)
         .ok_or("run request requires a string `bench`")?
         .to_string();
-    let config = config_from_value(body.get("config"))?;
+    // A sparse `{"mode": "mtvp", "contexts": 4}` resolves against the
+    // mode's defaults; a full serialized `SimConfig` round-trips exactly.
+    let empty = Value::Map(Vec::new());
+    let config = SimConfig::from_knob_map(body.get("config").unwrap_or(&empty))
+        .and_then(|c| c.validate().map(|()| c))
+        .map_err(|e| e.0)?;
     let scale = match body.get("scale") {
         None | Some(Value::Null) => Scale::Small,
-        Some(s) => scale_value(s)?,
+        Some(s) => Scale::parse_value(s).map_err(|e| e.0)?,
     };
     let wait = bool_field(body, "wait")?.unwrap_or(true);
     let timeout_ms = u64_field(body, "timeout_ms")?;
@@ -319,7 +143,7 @@ pub fn parse_sweep_request(body: &Value) -> Result<SweepRequest, String> {
     scenario.configs().map_err(|e| e.0)?;
     let scale = match body.get("scale") {
         None | Some(Value::Null) => None,
-        Some(s) => Some(scale_value(s)?),
+        Some(s) => Some(Scale::parse_value(s).map_err(|e| e.0)?),
     };
     let wait = bool_field(body, "wait")?.unwrap_or(true);
     let timeout_ms = u64_field(body, "timeout_ms")?;
@@ -440,6 +264,14 @@ pub fn accepted_json(job: u64) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mtvp_engine::{CoreKind, Mode, SamplingParams, SpawnPolicyKind};
+
+    /// The `config` object of a `/run` request, resolved and validated.
+    fn config_from_value(v: Option<&Value>) -> Result<SimConfig, String> {
+        let mut body = vec![("bench".to_string(), Value::Str("mcf".into()))];
+        body.extend(v.map(|c| ("config".to_string(), c.clone())));
+        parse_run_request(&Value::Map(body)).map(|r| r.config)
+    }
 
     #[test]
     fn sparse_run_request_resolves_defaults() {

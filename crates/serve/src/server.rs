@@ -1113,7 +1113,7 @@ mod tests {
         let warm: Value = serde_json::from_str(&warm).expect("json");
 
         // The peering endpoint serves the raw cell; garbage hashes 400/404.
-        let warm_cfg = mtvp_engine::SimConfig::new(mtvp_engine::parse_mode("baseline").unwrap());
+        let warm_cfg = mtvp_engine::SimConfig::new(mtvp_engine::Mode::Baseline);
         let key = key_of(&cell_descriptor("mcf", &warm_cfg, Scale::Tiny));
         let path = format!("/cache/cell/{}", key.hex());
         let (status, text) =

@@ -3,11 +3,12 @@
 //! results), and scenario serde round-trips.
 
 use mtvp_engine::{
-    builtin, cell_descriptor, key_of, CacheMode, Engine, EngineOptions, L3Params, Mode, Scenario,
-    SimConfig,
+    builtin, cell_descriptor, key_of, CacheMode, CoreKind, Engine, EngineOptions, L3Params, Mode,
+    SamplingParams, Scenario, SimConfig, SpawnPolicyKind,
 };
 use mtvp_pipeline::{PredictorKind, SelectorKind};
 use mtvp_workloads::Scale;
+use serde::{Serialize, Value};
 use std::path::PathBuf;
 
 /// A unique scratch cache directory per test (removed on drop).
@@ -90,7 +91,32 @@ fn cache_key_depends_on_every_config_field() {
             "co_workloads",
             Box::new(|c| c.co_workloads = vec!["synth:1".to_string()]),
         ),
+        ("core", Box::new(|c| c.core = CoreKind::InOrderScalar)),
+        (
+            "spawn_policy",
+            Box::new(|c| c.spawn_policy = SpawnPolicyKind::Static),
+        ),
+        (
+            "sampling",
+            Box::new(|c| {
+                c.sampling = Some(SamplingParams {
+                    window: 2_000,
+                    interval: 20_000,
+                    warmup: 1_000,
+                })
+            }),
+        ),
     ];
+    // A field added to SimConfig must come with a mutation here.
+    let Value::Map(fields) = base.to_value() else {
+        panic!("SimConfig serializes to a map");
+    };
+    for (field, _) in &fields {
+        assert!(
+            mutations.iter().any(|(name, _)| name == field),
+            "field `{field}` has no cache-key mutation"
+        );
+    }
     for (field, mutate) in &mutations {
         let mut cfg = base.clone();
         mutate(&mut cfg);
