@@ -62,9 +62,10 @@ pub struct CellEntry {
 
 /// The reference interpreter's complete architectural state at one
 /// dynamic-instruction index: PC, register files, and the memory pages
-/// that differ from the program's initial data image (restorers replay
-/// `Program::init_memory`, then `MainMemory::install_page` each delta
-/// page — fast-forwarding by file read instead of by interpretation).
+/// that differ from the program's initial data image (restorers clone
+/// that image — built once per sampled run by `Program::init_memory`,
+/// copy-on-write — then `MainMemory::install_page` each delta page:
+/// fast-forwarding by file read instead of by interpretation).
 /// Storing the delta rather than the resident set keeps checkpoints of
 /// constant-data-heavy workloads to a few pages; a full-image `pages`
 /// list restores identically, just slower. Stored in a compact line

@@ -6,7 +6,9 @@
 //! - the **functional tier** — the reference [`Interp`] stepping directly
 //!   on the machine's [`MainMemory`] image (no page is ever copied
 //!   between tiers), covering the instructions between windows at
-//!   interpreter speed;
+//!   interpreter speed. That image starts as a copy-on-write clone of
+//!   the run's *pristine* image — the program's initial data, built once
+//!   per run — so the first write to a page copies that page alone;
 //! - the **detailed tier** — ONE cycle-level [`Machine`] that persists
 //!   across the whole run: booted through [`Machine::load_arch_state`] +
 //!   [`Machine::replace_memory`], drained to architectural state with
@@ -38,6 +40,9 @@
 //! [`Checkpoint`] in the engine cache. Sweeps whose configurations share
 //! a sampling schedule replay the fast-forward once and every subsequent
 //! configuration fast-forwards by `install_page`, not by interpretation.
+//! A checkpoint holds only the pages that differ from the pristine image
+//! (pages still physically shared with it are skipped unread), and a
+//! restore is a clone of the pristine image plus those pages.
 
 use crate::cache::{Cache, Checkpoint};
 use crate::key::{ckpt_descriptor, key_of};
@@ -143,8 +148,16 @@ fn run_sampled_on<'p, C: Core<'p>>(
 ) -> SampledRun {
     let sp = cfg.sampling.expect("run_sampled requires cfg.sampling");
     let total = dyn_instrs;
-    let mut mem = MainMemory::new();
-    program.init_memory(&mut mem);
+    // The program's initial data image, built once per run. The
+    // functional tier's memory, the checkpoint delta base and every
+    // checkpoint restore are copy-on-write clones of it, so no image is
+    // rebuilt and pages nobody writes stay shared.
+    let pristine = {
+        let mut m = MainMemory::new();
+        program.init_memory(&mut m);
+        m
+    };
+    let mut mem = pristine.clone();
     let mut interp = Interp::new(program);
 
     // Two accumulators. The first detailed region starts at instruction 0
@@ -160,9 +173,6 @@ fn run_sampled_on<'p, C: Core<'p>>(
     let mut peak_contexts = 0usize;
     // Checkpoint (hits, misses) served / built this run.
     let mut ckpt_counts = (0u64, 0u64);
-    // Post-`init_memory` image, built lazily the first time a checkpoint
-    // is stored (diff base) or restored (install base).
-    let mut baseline: Option<MainMemory> = None;
 
     // ONE detailed machine persists across the whole run. Contiguous
     // windows extend it; at a gap it is drained to architectural state,
@@ -228,9 +238,8 @@ fn run_sampled_on<'p, C: Core<'p>>(
                 let warm_at = start.saturating_sub(sp.warmup);
                 fast_forward(
                     &mut interp,
-                    program,
                     m.memory_mut(),
-                    &mut baseline,
+                    &pristine,
                     warm_at,
                     ckpts,
                     &mut ckpt_counts,
@@ -266,9 +275,8 @@ fn run_sampled_on<'p, C: Core<'p>>(
         let warm_at = start.saturating_sub(sp.warmup);
         fast_forward(
             &mut interp,
-            program,
             &mut mem,
-            &mut baseline,
+            &pristine,
             warm_at,
             ckpts,
             &mut ckpt_counts,
@@ -362,9 +370,8 @@ fn run_sampled_on<'p, C: Core<'p>>(
 /// reached state for every later configuration in the sweep.
 fn fast_forward(
     interp: &mut Interp,
-    program: &Program,
     mem: &mut MainMemory,
-    baseline: &mut Option<MainMemory>,
+    pristine: &MainMemory,
     target: u64,
     ckpts: Option<CkptStore<'_>>,
     counts: &mut (u64, u64), // (checkpoint hits, misses)
@@ -381,20 +388,14 @@ fn fast_forward(
     // plus the program's own stores, so pages still equal to the initial
     // image need no persisting. Workloads with large constant data (mcf's
     // arc arrays are ~tens of MiB) shrink from full-image dumps to a few
-    // pages. Restoring replays `init_memory` and installs the delta,
+    // pages. Restoring clones the pristine image and installs the delta,
     // which reproduces content *and* page residency exactly.
-    let base_img = || {
-        let mut b = MainMemory::new();
-        program.init_memory(&mut b);
-        b
-    };
     if let (Some(store), Some((key, desc))) = (ckpts, &key_desc) {
         if let Some(ck) = store.cache.load_ckpt(key, desc) {
-            let mut fresh = baseline.get_or_insert_with(base_img).clone();
+            *mem = pristine.clone();
             for (base, bytes) in &ck.pages {
-                fresh.install_page(*base, bytes);
+                mem.install_page(*base, bytes);
             }
-            *mem = fresh;
             interp.int_regs = ck.int_regs;
             for (f, &bits) in ck.fp_bits.iter().enumerate() {
                 interp.fp_regs[f] = f64::from_bits(bits);
@@ -408,10 +409,8 @@ fn fast_forward(
         interp.step(mem, None);
     }
     if let (Some(store), Some((key, desc))) = (ckpts, &key_desc) {
-        let base_img = baseline.get_or_insert_with(base_img);
         let mut pages: Vec<(u64, Vec<u8>)> = mem
-            .pages()
-            .filter(|&(base, p)| base_img.page(base) != Some(p))
+            .pages_changed_from(pristine)
             .map(|(base, p)| (base, p.to_vec()))
             .collect();
         pages.sort_unstable_by_key(|&(base, _)| base);

@@ -28,6 +28,53 @@ pub trait Bus {
     fn read_u64(&mut self, addr: u64) -> u64;
     /// Write the 64-bit little-endian word `val` at `addr`.
     fn write_u64(&mut self, addr: u64, val: u64);
+
+    /// Write one initialized data segment: `bytes` from `base` up, one
+    /// 64-bit word at a time, the trailing partial word padded with
+    /// zeros. Paged memories override this with page copies that leave
+    /// the same bytes and the same resident pages
+    /// (see [`for_each_page_span`]).
+    fn load_segment(&mut self, base: u64, bytes: &[u8]) {
+        let mut addr = base;
+        let mut chunks = bytes.chunks_exact(8);
+        for ch in &mut chunks {
+            self.write_u64(
+                addr,
+                u64::from_le_bytes(ch.try_into().expect("8-byte chunk")),
+            );
+            addr += 8;
+        }
+        let rem = chunks.remainder();
+        if !rem.is_empty() {
+            let mut word = [0u8; 8];
+            word[..rem.len()].copy_from_slice(rem);
+            self.write_u64(addr, u64::from_le_bytes(word));
+        }
+    }
+}
+
+/// Split the zero-padded image of a data segment — `bytes` at `base`,
+/// extended with zeros to a whole number of 64-bit words, exactly what
+/// [`Bus::load_segment`]'s word loop writes — into page spans, in
+/// address order. `span(page, offset, data, zeros)` receives the page
+/// number, the span's offset in that page, the segment bytes landing
+/// there, and how many padding zeros follow them.
+pub fn for_each_page_span(
+    base: u64,
+    bytes: &[u8],
+    page_size: u64,
+    mut span: impl FnMut(u64, usize, &[u8], usize),
+) {
+    let padded = bytes.len().next_multiple_of(8);
+    let mut done = 0;
+    while done < padded {
+        let addr = base + done as u64;
+        let off = (addr % page_size) as usize;
+        let n = (page_size as usize - off).min(padded - done);
+        let data = &bytes[done.min(bytes.len())..(done + n).min(bytes.len())];
+        span(addr / page_size, off, data, n - data.len());
+        done += n;
+    }
 }
 
 /// A simple sparse paged memory, sufficient for functional execution.
@@ -198,6 +245,14 @@ impl Bus for SimpleBus {
                 self.write_u8(addr + i as u64, *b);
             }
         }
+    }
+
+    fn load_segment(&mut self, base: u64, bytes: &[u8]) {
+        for_each_page_span(base, bytes, PAGE_SIZE, |page, off, data, zeros| {
+            let dst = &mut self.page_mut(page)[off..off + data.len() + zeros];
+            dst[..data.len()].copy_from_slice(data);
+            dst[data.len()..].fill(0);
+        });
     }
 }
 

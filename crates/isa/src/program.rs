@@ -45,25 +45,11 @@ impl Program {
         self.code.is_empty()
     }
 
-    /// Write the initial data image into `bus`.
+    /// Write the initial data image into `bus`, one
+    /// [`crate::interp::Bus::load_segment`] per segment, in order.
     pub fn init_memory<B: crate::interp::Bus>(&self, bus: &mut B) {
         for seg in &self.data {
-            let mut addr = seg.base;
-            let mut chunks = seg.bytes.chunks_exact(8);
-            for ch in &mut chunks {
-                bus.write_u64(
-                    addr,
-                    u64::from_le_bytes(ch.try_into().expect("8-byte chunk")),
-                );
-                addr += 8;
-            }
-            let rem = chunks.remainder();
-            if !rem.is_empty() {
-                // Pad the trailing partial word with zeros.
-                let mut word = [0u8; 8];
-                word[..rem.len()].copy_from_slice(rem);
-                bus.write_u64(addr, u64::from_le_bytes(word));
-            }
+            bus.load_segment(seg.base, &seg.bytes);
         }
     }
 

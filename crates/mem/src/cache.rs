@@ -70,7 +70,7 @@ impl CacheStats {
     }
 }
 
-#[derive(Copy, Clone, Debug, Default)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 struct Line {
     tag: u64,
     valid: bool,
@@ -85,7 +85,7 @@ struct Line {
 /// in [`crate::MainMemory`] (plus speculative store buffers in the
 /// pipeline). Addresses passed in are byte addresses; the cache extracts
 /// set index and tag from the *line* address.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TagCache {
     geom: CacheGeometry,
     lines: Vec<Line>,
@@ -195,6 +195,41 @@ impl TagCache {
             lru: clock,
         };
         evicted
+    }
+
+    /// Whether nothing has been filled into or looked up in this cache.
+    pub(crate) fn is_fresh(&self) -> bool {
+        self.clock == 0
+    }
+
+    /// Fill a fresh cache with the clean lines containing `addrs`, in
+    /// order, in O(1) per line. No two addresses may share a line: on
+    /// such input true LRU never hits, so the `k`-th fill of a set takes
+    /// way `k mod assoc` — the invalid ways in order, then the line
+    /// filled `assoc` fills earlier. Leaves exactly the lines, `lru`
+    /// stamps, clock and evictions that [`TagCache::fill`] on each
+    /// address would.
+    ///
+    /// # Panics
+    /// Panics unless the cache [`is_fresh`](TagCache::is_fresh).
+    pub(crate) fn fill_distinct_fresh(&mut self, addrs: impl IntoIterator<Item = u64>) {
+        assert!(self.is_fresh(), "one-pass fill needs a fresh cache");
+        let assoc = u64::from(self.geom.assoc);
+        let mut fills = vec![0u64; self.set_mask as usize + 1];
+        for addr in addrs {
+            self.clock += 1;
+            let la = self.line_addr(addr);
+            let set = (la & self.set_mask) as usize;
+            let way = (fills[set] % assoc) as usize;
+            fills[set] += 1;
+            self.lines[set * assoc as usize + way] = Line {
+                tag: la,
+                valid: true,
+                dirty: false,
+                lru: self.clock,
+            };
+        }
+        self.stats.evictions = fills.iter().map(|&k| k.saturating_sub(assoc)).sum();
     }
 
     /// Invalidate the line containing `addr` if present.

@@ -1,12 +1,15 @@
 //! Sparse functional main memory.
 
-use mtvp_isa::interp::Bus;
+use mtvp_isa::interp::{for_each_page_span, Bus};
 use std::cell::Cell;
+use std::sync::Arc;
 
 const PAGE_SIZE: u64 = 4096;
 /// Pages per directory group: each group table spans 64 MiB of address
 /// space and costs 64 KiB of `u32` slots when touched.
 const GROUP_PAGES: u64 = 1 << 14;
+
+type Page = [u8; PAGE_SIZE as usize];
 
 /// Sparse, paged, byte-addressable main memory holding the architectural
 /// data image during a cycle-level simulation.
@@ -21,10 +24,15 @@ const GROUP_PAGES: u64 = 1 << 14;
 /// compare + direct slice index instead of a hash-map probe. Reads of
 /// absent pages never allocate, which keeps wrong-path and
 /// value-speculated addresses free.
+///
+/// Pages are copy-on-write: `clone` copies one pointer per resident page,
+/// and the first write to a page still shared with another image copies
+/// that page alone. A sampled run clones one pristine data image for its
+/// machine and for every checkpoint restore instead of rebuilding it.
 #[derive(Clone, Debug, Default)]
 pub struct MainMemory {
     /// All resident pages, in allocation order.
-    arena: Vec<Box<[u8]>>,
+    arena: Vec<Arc<Page>>,
     /// Page number of each arena slot (parallel to `arena`).
     page_addrs: Vec<u64>,
     /// Group directory: `dir[page >> 14][page & 0x3fff]` is the arena
@@ -63,26 +71,30 @@ impl MainMemory {
         Some(slot as usize - 1)
     }
 
-    fn page_mut(&mut self, page: u64) -> &mut [u8] {
-        let idx = match self.slot_of(page) {
-            Some(idx) => idx,
-            None => {
-                let group = (page / GROUP_PAGES) as usize;
-                if group >= self.dir.len() {
-                    self.dir.resize_with(group + 1, || None);
-                }
-                let table = self.dir[group]
-                    .get_or_insert_with(|| vec![0u32; GROUP_PAGES as usize].into_boxed_slice());
-                self.arena
-                    .push(vec![0u8; PAGE_SIZE as usize].into_boxed_slice());
-                self.page_addrs.push(page);
-                let slot = self.arena.len() as u32; // slot + 1 encoding
-                table[(page % GROUP_PAGES) as usize] = slot;
-                self.last_page.set((page, slot));
-                slot as usize - 1
-            }
-        };
-        &mut self.arena[idx]
+    /// Arena slot of `page`, allocating a zero page if it is absent.
+    fn slot_or_alloc(&mut self, page: u64) -> usize {
+        if let Some(idx) = self.slot_of(page) {
+            return idx;
+        }
+        let group = (page / GROUP_PAGES) as usize;
+        if group >= self.dir.len() {
+            self.dir.resize_with(group + 1, || None);
+        }
+        let table = self.dir[group]
+            .get_or_insert_with(|| vec![0u32; GROUP_PAGES as usize].into_boxed_slice());
+        self.arena.push(Arc::new([0; PAGE_SIZE as usize]));
+        self.page_addrs.push(page);
+        let slot = self.arena.len() as u32; // slot + 1 encoding
+        table[(page % GROUP_PAGES) as usize] = slot;
+        self.last_page.set((page, slot));
+        slot as usize - 1
+    }
+
+    /// Writable contents of `page`, allocated if absent and copied first
+    /// if another image still shares it.
+    fn page_mut(&mut self, page: u64) -> &mut Page {
+        let idx = self.slot_or_alloc(page);
+        Arc::make_mut(&mut self.arena[idx])
     }
 
     /// Read one byte.
@@ -140,13 +152,42 @@ impl MainMemory {
     }
 
     /// The resident page at byte address `base` (must be page-aligned),
-    /// or `None` if absent. Does not count as an access. Checkpoint
-    /// writers use this to diff a memory image against the program's
-    /// initial data image and persist only the pages that changed.
+    /// or `None` if absent. Does not count as an access.
     pub fn page(&self, base: u64) -> Option<&[u8]> {
         assert_eq!(base % PAGE_SIZE, 0, "page base must be aligned");
         self.slot_of(base / PAGE_SIZE)
             .map(|idx| &self.arena[idx][..])
+    }
+
+    /// Whether `self` and `other` hold the same physical copy of the
+    /// page at `base` (must be page-aligned): true for every page of a
+    /// clone until either image writes it.
+    pub fn shares_page(&self, other: &MainMemory, base: u64) -> bool {
+        assert_eq!(base % PAGE_SIZE, 0, "page base must be aligned");
+        let page = base / PAGE_SIZE;
+        match (self.slot_of(page), other.slot_of(page)) {
+            (Some(a), Some(b)) => Arc::ptr_eq(&self.arena[a], &other.arena[b]),
+            _ => false,
+        }
+    }
+
+    /// The resident pages whose contents differ from `base`'s (absent
+    /// there counts as different), as `(byte base address, contents)` in
+    /// allocation order: the delta a checkpoint stores against the
+    /// program's initial image. Pages still shared with `base` are
+    /// skipped without comparing bytes.
+    pub fn pages_changed_from<'a>(
+        &'a self,
+        base: &'a MainMemory,
+    ) -> impl Iterator<Item = (u64, &'a [u8])> {
+        self.page_addrs
+            .iter()
+            .zip(&self.arena)
+            .filter(move |&(&page, p)| match base.slot_of(page) {
+                Some(b) => !Arc::ptr_eq(p, &base.arena[b]) && base.arena[b] != *p,
+                None => true,
+            })
+            .map(|(&page, p)| (page * PAGE_SIZE, &p[..]))
     }
 
     /// Install a full page image at `base` (must be page-aligned, and
@@ -159,7 +200,10 @@ impl MainMemory {
             PAGE_SIZE,
             "page must be {PAGE_SIZE} bytes"
         );
-        self.page_mut(base / PAGE_SIZE).copy_from_slice(bytes);
+        let idx = self.slot_or_alloc(base / PAGE_SIZE);
+        // A fresh copy: a page shared with another image is replaced,
+        // never written through.
+        self.arena[idx] = Arc::new(bytes.try_into().expect("one page"));
     }
 
     /// FNV-1a checksum over all resident page contents (page-order
@@ -207,6 +251,16 @@ impl Bus for MainMemory {
                 self.write_u8(addr + i as u64, *b);
             }
         }
+    }
+
+    /// Page copies; counts the words the default word loop would write.
+    fn load_segment(&mut self, base: u64, bytes: &[u8]) {
+        self.writes += bytes.len().div_ceil(8) as u64;
+        for_each_page_span(base, bytes, PAGE_SIZE, |page, off, data, zeros| {
+            let dst = &mut self.page_mut(page)[off..off + data.len() + zeros];
+            dst[..data.len()].copy_from_slice(data);
+            dst[data.len()..].fill(0);
+        });
     }
 }
 
@@ -273,6 +327,74 @@ mod tests {
         assert_eq!(page.len() as u64, PAGE_SIZE);
         assert_eq!(u64::from_le_bytes(page[8..16].try_into().unwrap()), 7);
         assert!(m.page(0x5000).is_none());
+    }
+
+    #[test]
+    fn writing_a_clone_leaves_the_original_unchanged() {
+        let mut orig = MainMemory::new();
+        orig.write_u64(0x1000, 1);
+        orig.write_u64(0x2000, 2);
+        let mut copy = orig.clone();
+        copy.write_u64(0x1000, 10);
+        copy.write_u64(PAGE_SIZE * 9, 3); // a page only the clone has
+        assert_eq!(orig.peek_u64(0x1000), 1);
+        assert_eq!(orig.resident_pages(), 2);
+        assert_eq!(copy.peek_u64(0x1000), 10);
+        assert_eq!(copy.peek_u64(0x2000), 2);
+        // The original's own writes stay out of the clone too.
+        orig.write_u64(0x2000, 20);
+        assert_eq!(copy.peek_u64(0x2000), 2);
+    }
+
+    #[test]
+    fn page_sharing_is_reported_until_the_first_write() {
+        let mut orig = MainMemory::new();
+        orig.write_u64(0x1000, 1);
+        orig.write_u64(0x2000, 2);
+        let mut copy = orig.clone();
+        assert!(copy.shares_page(&orig, 0x1000));
+        assert!(copy.shares_page(&orig, 0x2000));
+        copy.write_u64(0x1008, 5);
+        assert!(!copy.shares_page(&orig, 0x1000));
+        assert!(copy.shares_page(&orig, 0x2000));
+        // Absent pages are never shared; a page of equal bytes but a
+        // separate copy is not shared either.
+        assert!(!copy.shares_page(&orig, 0x3000));
+        let mut twin = MainMemory::new();
+        twin.write_u64(0x2000, 2);
+        assert!(!twin.shares_page(&orig, 0x2000));
+    }
+
+    #[test]
+    fn install_page_on_a_clone_never_reaches_the_original() {
+        let mut orig = MainMemory::new();
+        orig.write_u64(0x4000, 7);
+        let before = orig.checksum();
+        let mut copy = orig.clone();
+        copy.install_page(0x4000, &[0xAB; PAGE_SIZE as usize]);
+        copy.install_page(0x8000, &[0xCD; PAGE_SIZE as usize]);
+        assert_eq!(orig.checksum(), before);
+        assert_eq!(orig.peek_u64(0x4000), 7);
+        assert!(orig.page(0x8000).is_none());
+        assert_eq!(copy.peek_u64(0x4000), 0xABAB_ABAB_ABAB_ABAB);
+        assert!(!copy.shares_page(&orig, 0x4000));
+    }
+
+    #[test]
+    fn checkpoint_delta_lists_only_changed_pages() {
+        let mut orig = MainMemory::new();
+        for page in 0..4 {
+            orig.write_u64(page * PAGE_SIZE, page + 1);
+        }
+        let mut copy = orig.clone();
+        assert_eq!(copy.pages_changed_from(&orig).count(), 0);
+        // Rewriting a page with its own contents unshares it but leaves
+        // nothing to persist; a real change and a new page both count.
+        copy.write_u64(0, 1);
+        copy.write_u64(PAGE_SIZE * 2 + 8, 9);
+        copy.write_u64(PAGE_SIZE * 7, 1);
+        let changed: Vec<u64> = copy.pages_changed_from(&orig).map(|(b, _)| b).collect();
+        assert_eq!(changed, vec![PAGE_SIZE * 2, PAGE_SIZE * 7]);
     }
 
     #[test]

@@ -106,6 +106,12 @@ impl SharedL3Handle {
         g.cache.probe(asid_line(asid, line))
     }
 
+    /// A copy of the shared tag array.
+    #[cfg(test)]
+    pub(crate) fn tags(&self) -> TagCache {
+        self.0.lock().expect("shared L3 lock").cache.clone()
+    }
+
     /// Aggregate statistics of the shared array (all attached cores).
     pub fn stats(&self) -> CacheStats {
         self.0.lock().expect("shared L3 lock").cache.stats()

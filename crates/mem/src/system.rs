@@ -4,6 +4,7 @@ use crate::cache::{CacheGeometry, CacheStats, TagCache};
 use crate::mshr::Mshr;
 use crate::prefetch::{PrefetchConfig, PrefetchStats, Prefetcher, StreamProbe};
 use crate::shared::SharedL3Handle;
+use mtvp_isa::DataSegment;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -161,6 +162,17 @@ pub struct MemStats {
     pub icache_accesses: u64,
     /// Demand accesses refused because every MSHR was busy.
     pub mshr_rejections: u64,
+}
+
+/// Whether the lines the byte ranges cover (each `[start, end)`, `start`
+/// line-aligned) are pairwise distinct: no two ranges share a line.
+fn lines_disjoint(ranges: &[(u64, u64)], line: u64) -> bool {
+    let mut spans: Vec<(u64, u64)> = ranges
+        .iter()
+        .map(|&(start, end)| (start / line, end.div_ceil(line)))
+        .collect();
+    spans.sort_unstable();
+    spans.windows(2).all(|w| w[0].1 <= w[1].0)
 }
 
 /// Pending cache fill: (arrival cycle, line byte address, level mask, dirty).
@@ -506,9 +518,11 @@ impl MemSystem {
     }
 
     /// Warm-start fill: install the line containing `addr` into every
-    /// cache level without touching statistics. Used to pre-load the
-    /// program's data image at simulator construction, modelling the cache
-    /// state after the fast-forward phase of a sampled simulation.
+    /// data-side cache level (the shared array when attached). Counts no
+    /// hit or miss, but a fill that displaces a valid line counts an
+    /// eviction, so `CacheStats::evictions` includes warm-start
+    /// displacement. [`MemSystem::warm_data_image`] walks the program's
+    /// data image through this.
     pub fn warm_line(&mut self, addr: u64) {
         let line = self.line_of(addr);
         match &self.shared_l3 {
@@ -519,6 +533,93 @@ impl MemSystem {
         }
         self.l2.fill(line, false);
         self.l1d.fill(line, false);
+    }
+
+    /// Warm start: walk the initialized data image `segments` through
+    /// the data-side cache tags, line by line in segment order — the
+    /// state after the fast-forward phase of a SimPoint-sampled run.
+    ///
+    /// Only the tail of the walk can survive in an LRU cache: once a set
+    /// absorbs a full complement of distinct fills, whatever it held
+    /// before is gone. Skipping all but the last 2×capacity lines of the
+    /// walk is therefore bit-exact (the 2× margin guarantees every set
+    /// sees at least `assoc` fills even when segment boundaries skew the
+    /// set rotation) and keeps this O(cache) instead of O(image) —
+    /// constant-data images run to tens of MiB.
+    ///
+    /// On a fresh private hierarchy whose walked lines are pairwise
+    /// distinct (no two segments share a line), each tag array is filled
+    /// in one O(1)-per-line pass with the state the walk would leave. Anything else — overlapping
+    /// segments, a shared L3, a re-walk — takes the [`warm_line`] walk.
+    ///
+    /// [`warm_line`]: MemSystem::warm_line
+    pub fn warm_data_image(&mut self, segments: &[DataSegment]) {
+        let ranges = self.warm_ranges(segments);
+        if self.fresh_private() && lines_disjoint(&ranges, self.cfg.line_bytes) {
+            let line = self.cfg.line_bytes;
+            let lines = || {
+                ranges
+                    .iter()
+                    .flat_map(move |&(a, end)| (a..end).step_by(line as usize))
+            };
+            self.l3.fill_distinct_fresh(lines());
+            self.l2.fill_distinct_fresh(lines());
+            self.l1d.fill_distinct_fresh(lines());
+        } else {
+            self.warm_walk(&ranges);
+        }
+    }
+
+    /// The part of the data-image walk that can survive: `[start, end)`
+    /// byte ranges, `start` line-aligned, one per segment that reaches
+    /// the last 2×capacity lines, in walk order.
+    fn warm_ranges(&self, segments: &[DataSegment]) -> Vec<(u64, u64)> {
+        let line = self.cfg.line_bytes;
+        let seg_lines = |seg: &DataSegment| {
+            let start = seg.base & !(line - 1);
+            let end = seg.base + seg.bytes.len() as u64;
+            end.saturating_sub(start).div_ceil(line)
+        };
+        let total: u64 = segments.iter().map(&seg_lines).sum();
+        let keep = 2 * [self.cfg.l1d, self.cfg.l2, self.cfg.l3]
+            .iter()
+            .map(|g| g.size_bytes / g.line_bytes)
+            .max()
+            .expect("three levels");
+        let mut skip = total.saturating_sub(keep);
+        let mut ranges = Vec::new();
+        for seg in segments {
+            let n = seg_lines(seg);
+            if skip >= n {
+                skip -= n;
+                continue;
+            }
+            let start = (seg.base & !(line - 1)) + skip * line;
+            skip = 0;
+            ranges.push((start, seg.base + seg.bytes.len() as u64));
+        }
+        ranges
+    }
+
+    /// Walk `ranges` through [`MemSystem::warm_line`], line by line.
+    fn warm_walk(&mut self, ranges: &[(u64, u64)]) {
+        for &(start, end) in ranges {
+            let mut a = start;
+            while a < end {
+                self.warm_line(a);
+                a += self.cfg.line_bytes;
+            }
+        }
+    }
+
+    /// No line filled or looked up yet, no shared L3, and every data-side
+    /// cache tags at the hierarchy's line size (so distinct lines stay
+    /// distinct tags).
+    fn fresh_private(&self) -> bool {
+        self.shared_l3.is_none()
+            && [&self.l1d, &self.l2, &self.l3]
+                .iter()
+                .all(|c| c.is_fresh() && c.geometry().line_bytes == self.cfg.line_bytes)
     }
 
     /// Non-mutating probe: where would a demand access to `addr` hit right
@@ -760,6 +861,110 @@ mod tests {
         assert!(h.probe(0, 0x42_0000));
         assert!(!h.probe(1, 0x42_0000));
         assert_eq!(a.probe_level(0x42_0000), HitLevel::L1);
+    }
+
+    /// Warm `segments` into fresh `cfg` hierarchies once through
+    /// `warm_data_image` and once through the per-line walk; assert every
+    /// tag array (lines, LRU stamps, clock, statistics) agrees. Returns
+    /// whether `warm_data_image` took the one-pass fill.
+    fn assert_warm_matches_walk(cfg: MemConfig, segments: &[DataSegment]) -> bool {
+        let mut fast = MemSystem::new(cfg);
+        let ranges = fast.warm_ranges(segments);
+        let one_pass = lines_disjoint(&ranges, cfg.line_bytes);
+        fast.warm_data_image(segments);
+        let mut walked = MemSystem::new(cfg);
+        walked.warm_walk(&ranges);
+        assert_eq!(
+            [&fast.l1i, &fast.l1d, &fast.l2, &fast.l3],
+            [&walked.l1i, &walked.l1d, &walked.l2, &walked.l3]
+        );
+        one_pass
+    }
+
+    #[test]
+    fn one_pass_warm_start_matches_the_walk_on_every_registry_program() {
+        for w in mtvp_workloads::suite() {
+            for scale in [mtvp_workloads::Scale::Tiny, mtvp_workloads::Scale::Small] {
+                let program = w.build(scale);
+                for cfg in [MemConfig::hpca2005(), MemConfig::tiny()] {
+                    assert!(
+                        assert_warm_matches_walk(cfg, &program.data),
+                        "{} {scale:?}: expected the one-pass fill",
+                        w.name
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn segments_sharing_a_line_take_the_walk() {
+        // The first segment's padded tail and the second segment share
+        // line 0x1000; a third segment makes every level evict, yet is
+        // short enough that the walk skips none of the first two.
+        let segments = [
+            DataSegment {
+                base: 0x1000,
+                bytes: vec![1; 9],
+            },
+            DataSegment {
+                base: 0x1020,
+                bytes: vec![2; 8],
+            },
+            DataSegment {
+                base: 0x10_0000,
+                bytes: vec![3; 96 * 1024],
+            },
+        ];
+        assert!(!assert_warm_matches_walk(MemConfig::tiny(), &segments));
+        // Without the shared line the same layout fills in one pass.
+        assert!(assert_warm_matches_walk(MemConfig::tiny(), &segments[1..]));
+    }
+
+    #[test]
+    fn shared_l3_attach_after_a_one_pass_warm_start_matches_the_walk() {
+        let cfg = MemConfig::tiny();
+        let segments = [
+            DataSegment {
+                base: 0x2000,
+                bytes: vec![1; 40 * 1024],
+            },
+            DataSegment {
+                base: 0x40_0000,
+                bytes: vec![2; 100 * 1024],
+            },
+        ];
+        let spec = crate::shared::SharedL3Spec {
+            geometry: cfg.l3,
+            latency: cfg.l3_latency,
+            hop: 4,
+        };
+        // As a CMP builds its cores: warm each private hierarchy, then
+        // attach it to the shared array, which re-walks the image.
+        let build = |one_pass: bool| {
+            let h = crate::shared::SharedL3Handle::new(spec);
+            let systems: Vec<MemSystem> = (0..2u16)
+                .map(|asid| {
+                    let mut m = MemSystem::new(cfg);
+                    if one_pass {
+                        m.warm_data_image(&segments);
+                    } else {
+                        let ranges = m.warm_ranges(&segments);
+                        m.warm_walk(&ranges);
+                    }
+                    m.attach_shared_l3(h.clone(), asid);
+                    m.warm_data_image(&segments);
+                    m
+                })
+                .collect();
+            (systems, h.tags())
+        };
+        let (fast, fast_l3) = build(true);
+        let (walked, walked_l3) = build(false);
+        assert_eq!(fast_l3, walked_l3);
+        for (f, w) in fast.iter().zip(&walked) {
+            assert_eq!([&f.l1d, &f.l2, &f.l3], [&w.l1d, &w.l2, &w.l3]);
+        }
     }
 
     #[test]

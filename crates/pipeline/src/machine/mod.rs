@@ -280,50 +280,6 @@ struct ProgressMark {
     reissue_origin: Option<UopId>,
 }
 
-/// Walk the program's initialized data image through the cache tags —
-/// the state after a fast-forward phase of a SimPoint-sampled run.
-///
-/// Only the tail of the walk can survive in an LRU cache: once a set
-/// absorbs a full complement of distinct fills, whatever it held before
-/// is gone. Skipping all but the last 2×capacity lines of the walk is
-/// therefore bit-exact (the 2× margin guarantees every set sees at least
-/// `assoc` fills even when segment boundaries skew the set rotation) and
-/// keeps construction O(cache) instead of O(image) — constant-data
-/// images run to tens of MiB.
-///
-/// Called from `build`, and again by [`StagedCore::attach_shared_l3`]
-/// so the shared array holds the same image tail a private LLC would.
-fn warm_data_image(mem_sys: &mut MemSystem, program: &Program) {
-    let mem_cfg = *mem_sys.config();
-    let line = mem_cfg.line_bytes;
-    let seg_lines = |seg: &mtvp_isa::DataSegment| {
-        let start = seg.base & !(line - 1);
-        let end = seg.base + seg.bytes.len() as u64;
-        end.saturating_sub(start).div_ceil(line)
-    };
-    let total: u64 = program.data.iter().map(&seg_lines).sum();
-    let keep = 2 * [mem_cfg.l1d, mem_cfg.l2, mem_cfg.l3]
-        .iter()
-        .map(|g| g.size_bytes / g.line_bytes)
-        .max()
-        .expect("three levels");
-    let mut skip = total.saturating_sub(keep);
-    for seg in &program.data {
-        let n = seg_lines(seg);
-        if skip >= n {
-            skip -= n;
-            continue;
-        }
-        let mut a = (seg.base & !(line - 1)) + skip * line;
-        skip = 0;
-        let end = seg.base + seg.bytes.len() as u64;
-        while a < end {
-            mem_sys.warm_line(a);
-            a += line;
-        }
-    }
-}
-
 impl<'p, S: StageSet> StagedCore<'p, NullTracer, S> {
     /// Build a machine for `program`. A committed-path `trace` is required
     /// for the oracle predictor and enables commit-time path validation in
@@ -392,7 +348,7 @@ impl<'p, T: Tracer, S: StageSet> StagedCore<'p, T, S> {
             mem_sys.obs_enable();
         }
         if cfg.warm_start {
-            warm_data_image(&mut mem_sys, program);
+            mem_sys.warm_data_image(&program.data);
         }
         let mut rf = PhysRegFile::new(cfg.phys_regs_per_class());
         let mut ctxs: Vec<Context> = (0..cfg.total_contexts())
@@ -570,7 +526,7 @@ impl<'p, T: Tracer, S: StageSet> StagedCore<'p, T, S> {
     pub fn attach_shared_l3(&mut self, handle: mtvp_mem::SharedL3Handle, asid: u16) {
         self.mem_sys.attach_shared_l3(handle, asid);
         if self.cfg.warm_start {
-            warm_data_image(&mut self.mem_sys, self.program);
+            self.mem_sys.warm_data_image(&self.program.data);
         }
     }
 
