@@ -38,9 +38,12 @@ pub const DENIED_ALLOC: &[&str] = &[
 ];
 
 /// Per-cycle functions whose bodies must not allocate: the pipeline
-/// stages and their per-context helpers, the value-prediction hook, and
-/// the microarchitecture-framework dispatch surface (`Stage::tick` /
+/// stages and their per-context helpers, the wakeup-driven issue-queue
+/// helpers (select, ready-heap filing, register-write wakeup, slot
+/// accounting), the value-prediction hook, and the
+/// microarchitecture-framework dispatch surface (`Stage::tick` /
 /// `SpawnPolicy::consider` impls plus the staged cycle loop itself).
+/// Every entry names a function defined in the pipeline crate (tested).
 pub const HOT_FUNCTIONS: &[&str] = &[
     "cycle",
     "cycle_hand_wired",
@@ -54,6 +57,14 @@ pub const HOT_FUNCTIONS: &[&str] = &[
     "issue_stage",
     "in_order_issue_stage",
     "issue_one",
+    "select_and_issue",
+    "begin_issue_epoch",
+    "enqueue_for_issue",
+    "write_preg",
+    "wake_waiters",
+    "holds_slot",
+    "release_slot",
+    "queue_occupancy",
     "store_forwards",
     "writeback_stage",
     "complete_one",
@@ -62,7 +73,6 @@ pub const HOT_FUNCTIONS: &[&str] = &[
     "commit_one",
     "maybe_value_predict",
     "spawn_child",
-    "reconcile_freed_slot",
     "cmp_step",
     "cmp_fast_forward_to",
 ];
@@ -397,6 +407,51 @@ fn build_tables() -> Vec<u64> {
             out.diags.is_empty() && out.suppressed.is_empty(),
             "{:?}",
             out.diags
+        );
+    }
+
+    #[test]
+    fn every_hot_function_exists_in_the_pipeline() {
+        // A renamed or deleted function would silently drop out of the
+        // lint; every listed name must still be defined somewhere.
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../pipeline/src");
+        let mut text = String::new();
+        let mut dirs = vec![root];
+        while let Some(dir) = dirs.pop() {
+            for entry in fs::read_dir(&dir).unwrap() {
+                let path = entry.unwrap().path();
+                if path.is_dir() {
+                    dirs.push(path);
+                } else if path.extension().is_some_and(|e| e == "rs") {
+                    text.push_str(&fs::read_to_string(&path).unwrap());
+                }
+            }
+        }
+        for name in HOT_FUNCTIONS {
+            assert!(
+                text.lines().any(|l| hot_fn_on_line(l) == Some(*name)),
+                "HOT_FUNCTIONS lists `{name}`, which the pipeline crate no longer defines"
+            );
+        }
+    }
+
+    #[test]
+    fn wakeup_helpers_are_hot() {
+        let src = "\
+fn wake_waiters(&mut self, class: RegClass, preg: PregId) {
+    let list = self.sched.waiters[0][0].to_vec();
+}
+fn enqueue_for_issue(&mut self, id: UopId, generation: u32) {
+    let v = Vec::new();
+}
+";
+        let d = scan_source(Path::new("sched.rs"), src).diags;
+        assert_eq!(d.len(), 2, "{d:?}");
+        assert!(d[0].message.contains("`wake_waiters`"), "{}", d[0].message);
+        assert!(
+            d[1].message.contains("`enqueue_for_issue`"),
+            "{}",
+            d[1].message
         );
     }
 

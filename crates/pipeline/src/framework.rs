@@ -18,7 +18,8 @@
 //!   instruction per cycle in strict program order.
 //!
 //! To add a core module: implement [`Stage`] for any stage you replace
-//! (delegating to a new method on `StagedCore`), bundle the stages in a
+//! (delegating to a new method on `StagedCore`; an issue stage also
+//! implements [`IssueStage`]), bundle the stages in a
 //! new [`StageSet`], alias `StagedCore<'p, T, YourStages>`, and wire a
 //! `CoreKind` through `SimConfig` so the engine can select it. The
 //! [`Core`] trait is implemented automatically for every composition,
@@ -44,6 +45,16 @@ use std::sync::Arc;
 pub trait Stage {
     /// Advance this stage by one cycle.
     fn tick<T: Tracer, S: StageSet>(m: &mut StagedCore<'_, T, S>);
+}
+
+/// The issue stage of a [`StageSet`]: a [`Stage`] that also declares how
+/// it finds issuable uops.
+pub trait IssueStage: Stage {
+    /// Whether the stage selects from the wakeup-driven ready heaps.
+    /// Rename and redispatch file queued uops into the heaps and the
+    /// per-register waiter lists, and register writes wake those lists,
+    /// only when it does; a stage that never reads them pays nothing.
+    const WAKEUP: bool;
 }
 
 /// Policy hook invoked when the rename stage renames a load: decide
@@ -77,7 +88,7 @@ pub trait StageSet: Sized + 'static {
     /// Register rename and dispatch into the issue queues.
     type Rename: Stage;
     /// Instruction selection and execution start.
-    type Issue: Stage;
+    type Issue: IssueStage;
     /// Completion: result write, branch resolution, load verification.
     type Writeback: Stage;
     /// In-order retirement, MTVP reconcile/promotion, squashes.
@@ -112,7 +123,8 @@ impl Stage for RenameDispatch {
 }
 
 /// Out-of-order issue: oldest-ready-first selection per execution-unit
-/// class, up to the per-class issue widths.
+/// class, up to the per-class issue widths, from the ready heaps the
+/// register writes wake.
 pub struct OooIssue;
 
 impl Stage for OooIssue {
@@ -120,6 +132,10 @@ impl Stage for OooIssue {
     fn tick<T: Tracer, S: StageSet>(m: &mut StagedCore<'_, T, S>) {
         m.issue_stage();
     }
+}
+
+impl IssueStage for OooIssue {
+    const WAKEUP: bool = true;
 }
 
 /// In-order scalar issue: at most one instruction per cycle, and only
@@ -132,6 +148,10 @@ impl Stage for InOrderIssue {
     fn tick<T: Tracer, S: StageSet>(m: &mut StagedCore<'_, T, S>) {
         m.in_order_issue_stage();
     }
+}
+
+impl IssueStage for InOrderIssue {
+    const WAKEUP: bool = false;
 }
 
 /// Drain completion events due this cycle: write results, resolve

@@ -58,8 +58,8 @@ mod uop;
 pub use cmp::{CmpMachine, CoRunner};
 pub use config::{FetchPolicy, PipelineConfig, PredictorKind, SelectorKind, VpConfig};
 pub use framework::{
-    Core, InOrderStages, SmtOooStages, SmtOooStaticHintStages, SpawnPolicy, Stage, StageSet,
-    StaticHintSpawn,
+    Core, InOrderStages, IssueStage, SmtOooStages, SmtOooStaticHintStages, SpawnPolicy, Stage,
+    StageSet, StaticHintSpawn,
 };
 pub use machine::{InOrderMachine, Machine, StagedCore, StaticHintMachine};
 pub use regfile::{PhysRegFile, PregId, RegClass};

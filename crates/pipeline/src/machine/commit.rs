@@ -129,9 +129,7 @@ impl<T: Tracer, S: StageSet> StagedCore<'_, T, S> {
                 "LSQ out of sync at commit"
             );
         }
-        if uop.in_queue {
-            self.ctxs[ctx].queued_count = self.ctxs[ctx].queued_count.saturating_sub(1);
-        }
+        self.release_slot(&uop);
         if let Some(d) = uop.dst {
             // The new mapping's reference lives on in the context map; only
             // the superseded mapping can now be recycled.
@@ -176,9 +174,8 @@ impl<T: Tracer, S: StageSet> StagedCore<'_, T, S> {
                         self.program.name
                     );
                     if e.is_load {
-                        let got = self.uops_exec_value_for_validation(head_exec_value);
                         assert_eq!(
-                            got,
+                            head_exec_value,
                             Some(e.load_value),
                             "committed load value divergence at instruction {} (pc {}) of {}",
                             self.stats.committed,
@@ -201,11 +198,6 @@ impl<T: Tracer, S: StageSet> StagedCore<'_, T, S> {
             }
         }
         true
-    }
-
-    /// Identity helper so the validation block reads naturally.
-    fn uops_exec_value_for_validation(&self, v: Option<u64>) -> Option<u64> {
-        v
     }
 
     /// Commit-time resolution of a load's spawned children: the child whose
@@ -438,9 +430,7 @@ impl<T: Tracer, S: StageSet> StagedCore<'_, T, S> {
         for (child, _) in &uop.vp.children {
             self.kill_subtree(*child, KillCause::ParentSquashed);
         }
-        if uop.in_queue {
-            self.ctxs[ctx].queued_count = self.ctxs[ctx].queued_count.saturating_sub(1);
-        }
+        self.release_slot(&uop);
         if let Some(d) = uop.dst {
             // Roll the map back (squash walks youngest-first, so this
             // restores the precise pre-rename state).

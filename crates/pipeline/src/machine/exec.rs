@@ -2,7 +2,7 @@
 //! selective reissue.
 
 use super::StagedCore;
-use crate::framework::StageSet;
+use crate::framework::{IssueStage, StageSet};
 use crate::regfile::RegClass;
 use crate::uop::{UopId, UopState};
 use mtvp_isa::interp::{branch_taken, effective_addr, eval_fp, eval_fp_cmp, eval_int, fp_to_int};
@@ -13,48 +13,13 @@ use std::cmp::Reverse;
 
 impl<T: Tracer, S: StageSet> StagedCore<'_, T, S> {
     /// Select and begin execution of ready instructions, oldest first, up
-    /// to the per-class issue widths (6 int / 2 fp / 4 mem).
+    /// to the per-class issue widths (6 int / 2 fp / 4 mem), from the
+    /// ready heaps (see the `sched` module).
     pub(crate) fn issue_stage(&mut self) {
-        for (unit, width) in [
-            (ExecUnit::Int, self.cfg.int_issue),
-            (ExecUnit::Fp, self.cfg.fp_issue),
-            (ExecUnit::Mem, self.cfg.mem_issue),
-        ] {
-            // Gather ready candidates (purging dead queue entries). Both
-            // buffers are taken out of `self` and put back afterwards, so
-            // the scan allocates nothing in steady state.
-            let mut queue = std::mem::take(self.queue_for(unit));
-            let mut ready = std::mem::take(&mut self.scratch_ready);
-            ready.clear();
-            queue.retain(|&(id, gen)| {
-                if !self.uops.is_live(id, gen) {
-                    return false;
-                }
-                let u = self.uops.get(id);
-                if !u.in_queue {
-                    return false; // issued earlier; slot already released
-                }
-                if u.state == UopState::Dispatched && u.srcs_ready(&self.rf) {
-                    ready.push((u.seq, id));
-                }
-                true
-            });
-            *self.queue_for(unit) = queue;
-
-            ready.sort_unstable();
-            // Bounded attempts: an MSHR-blocked load costs a slot, so a
-            // full miss queue cannot trigger unbounded issue work.
-            let mut issued = 0usize;
-            for &(_, id) in ready.iter().take(width * 4) {
-                if issued >= width {
-                    break;
-                }
-                if self.issue_one(id) {
-                    issued += 1;
-                }
-            }
-            self.scratch_ready = ready;
-        }
+        self.begin_issue_epoch();
+        self.select_and_issue(ExecUnit::Int, self.cfg.int_issue);
+        self.select_and_issue(ExecUnit::Fp, self.cfg.fp_issue);
+        self.select_and_issue(ExecUnit::Mem, self.cfg.mem_issue);
     }
 
     /// In-order scalar issue (the [`crate::framework::InOrderIssue`]
@@ -64,16 +29,9 @@ impl<T: Tracer, S: StageSet> StagedCore<'_, T, S> {
     /// issue, out-of-order completion (latencies still drain through the
     /// event heap and the shared writeback stage).
     pub(crate) fn in_order_issue_stage(&mut self) {
-        // Purge dead and already-issued queue entries: the out-of-order
-        // issue scan normally releases those slots lazily; without this
-        // sweep the rename stage would see phantom occupancy and wedge.
-        for unit in [ExecUnit::Int, ExecUnit::Fp, ExecUnit::Mem] {
-            let mut q = std::mem::take(self.queue_for(unit));
-            q.retain(|&(id, generation)| {
-                self.uops.is_live(id, generation) && self.uops.get(id).in_queue
-            });
-            *self.queue_for(unit) = q;
-        }
+        // Slots are released lazily here too: a uop issued last cycle
+        // gives its slot back as this stage starts.
+        self.begin_issue_epoch();
         let head = self.ctxs[self.root_ctx]
             .rob
             .iter()
@@ -153,9 +111,14 @@ impl<T: Tracer, S: StageSet> StagedCore<'_, T, S> {
             let u = self.uops.get_mut(id);
             u.state = UopState::Issued;
             u.in_queue = false;
+            u.issue_epoch = self.sched.epoch;
             u.exec_token = u.exec_token.wrapping_add(1);
             u.exec_token
         };
+        // The uop keeps its queue slot until the next issue stage starts.
+        let unit = inst.unit() as usize;
+        self.sched.queued[unit] -= 1;
+        self.sched.held[unit] += 1;
         self.ctxs[ctx].queued_count = self.ctxs[ctx].queued_count.saturating_sub(1);
         self.stats.issued += 1;
         self.issued_total += 1;
@@ -316,7 +279,7 @@ impl<T: Tracer, S: StageSet> StagedCore<'_, T, S> {
         let result = self.compute_result(id);
         if let Some(v) = result {
             if let Some(d) = self.uops.get(id).dst {
-                self.rf.write(d.class, d.preg, v);
+                self.write_preg(d.class, d.preg, v);
             }
         }
         self.uops.get_mut(id).state = UopState::Completed;
@@ -610,13 +573,13 @@ impl<T: Tracer, S: StageSet> StagedCore<'_, T, S> {
         tainted_stores: &mut Vec<(usize, u64)>,
     ) {
         let generation = self.uops.generation(id);
-        let (ctx, unit, was_queued, dst, is_store, is_load, seq, old_store_addr) = {
+        let held = self.holds_slot(self.uops.get(id));
+        let (ctx, unit, was_queued, dst, is_store, seq) = {
             let u = self.uops.get_mut(id);
             u.state = UopState::Dispatched;
             u.exec_token = u.exec_token.wrapping_add(1);
             let was_queued = u.in_queue;
             u.in_queue = true;
-            let old_store_addr = if u.inst.is_store() { u.eff_addr } else { None };
             if u.inst.is_load() {
                 u.exec_value = None;
                 u.eff_addr = None;
@@ -627,16 +590,13 @@ impl<T: Tracer, S: StageSet> StagedCore<'_, T, S> {
             }
             (
                 u.ctx,
-                u.inst.unit(),
+                u.inst.unit() as usize,
                 was_queued,
                 u.dst,
                 u.inst.is_store(),
-                u.inst.is_load(),
                 u.seq,
-                old_store_addr,
             )
         };
-        let _ = old_store_addr;
         // Any speculative descendant spawned after this instruction saw a
         // rename map built on its (now superseded) result — and may have
         // *committed* consumers of it, which replay cannot reach. Kill
@@ -653,18 +613,16 @@ impl<T: Tracer, S: StageSet> StagedCore<'_, T, S> {
             self.tracer.record(self.now, ev);
         }
         if !was_queued {
-            // The issue stage releases queue slots lazily: an already-issued
-            // uop may still have a stale entry in the queue vector. Setting
-            // `in_queue` above revives such an entry — pushing a second one
-            // here would make the issue stage see (and issue) the uop twice.
-            let already_present = self
-                .queue_for(unit)
-                .iter()
-                .any(|&(qid, qgen)| qid == id && qgen == generation);
-            if !already_present {
-                self.queue_for(unit).push((id, generation));
+            // A uop issued in the current epoch still holds its slot, and
+            // takes it back; otherwise it occupies a fresh one.
+            if held {
+                self.sched.held[unit] -= 1;
             }
+            self.sched.queued[unit] += 1;
             self.ctxs[ctx].queued_count += 1;
+            if S::Issue::WAKEUP {
+                self.enqueue_for_issue(id, generation);
+            }
         }
         if let Some(d) = dst {
             self.rf.unready(d.class, d.preg);
@@ -673,6 +631,5 @@ impl<T: Tracer, S: StageSet> StagedCore<'_, T, S> {
         if is_store {
             tainted_stores.push((ctx, seq));
         }
-        let _ = is_load;
     }
 }

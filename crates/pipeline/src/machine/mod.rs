@@ -13,6 +13,7 @@ mod commit;
 mod exec;
 mod fetch;
 mod rename;
+mod sched;
 
 use crate::config::{PipelineConfig, PredictorKind, SelectorKind};
 use crate::context::{Context, CtxState};
@@ -29,6 +30,7 @@ use mtvp_vp::{
     DfcmPredictor, IlpPred, LastValuePredictor, OraclePredictor, Prediction, PredictorCounters,
     SelectDecision, StridePredictor, ValuePredictor, WangFranklinConfig, WangFranklinPredictor,
 };
+use sched::Scheduler;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::marker::PhantomData;
@@ -202,10 +204,8 @@ pub struct StagedCore<'p, T: Tracer = NullTracer, S: StageSet = SmtOooStages> {
     pub(crate) rf: PhysRegFile,
     pub(crate) ctxs: Vec<Context>,
     pub(crate) uops: UopSlab,
-    /// Issue queues: (uop, generation) pairs; dead entries purged lazily.
-    pub(crate) iq: Vec<(UopId, u32)>,
-    pub(crate) fq: Vec<(UopId, u32)>,
-    pub(crate) mq: Vec<(UopId, u32)>,
+    /// Issue queues: ready heaps, waiter lists and occupancy counters.
+    pub(crate) sched: Scheduler,
     pub(crate) events: BinaryHeap<ExecEvent>,
     pub(crate) dir_pred: DirectionPredictor,
     pub(crate) btb: Btb,
@@ -226,9 +226,6 @@ pub struct StagedCore<'p, T: Tracer = NullTracer, S: StageSet = SmtOooStages> {
     /// started it (it must not re-execute itself).
     pub(crate) reissue_origin: Option<UopId>,
     last_commit_cycle: u64,
-    /// Reusable issue-stage scratch: ready candidates of the unit being
-    /// scanned (capacity persists across cycles).
-    pub(crate) scratch_ready: Vec<(u64, UopId)>,
     /// Reusable fetch-stage scratch: ICOUNT-sorted fetch candidates.
     pub(crate) scratch_ctxs: Vec<CtxId>,
     /// Event sink; [`NullTracer`] by default (zero cost).
@@ -351,6 +348,7 @@ impl<'p, T: Tracer, S: StageSet> StagedCore<'p, T, S> {
             mem_sys.warm_data_image(&program.data);
         }
         let mut rf = PhysRegFile::new(cfg.phys_regs_per_class());
+        let sched = Scheduler::new(cfg.phys_regs_per_class());
         let mut ctxs: Vec<Context> = (0..cfg.total_contexts())
             .map(|_| Context::free(cfg.ras_entries))
             .collect();
@@ -391,9 +389,7 @@ impl<'p, T: Tracer, S: StageSet> StagedCore<'p, T, S> {
             rf,
             ctxs,
             uops: UopSlab::new(),
-            iq: Vec::new(),
-            fq: Vec::new(),
-            mq: Vec::new(),
+            sched,
             events: BinaryHeap::new(),
             dir_pred: DirectionPredictor::new(cfg.gskew),
             btb: Btb::new(cfg.btb_entries),
@@ -409,7 +405,6 @@ impl<'p, T: Tracer, S: StageSet> StagedCore<'p, T, S> {
             rr_cursor: 0,
             reissue_origin: None,
             last_commit_cycle: 0,
-            scratch_ready: Vec::new(),
             scratch_ctxs: Vec::new(),
             hint_mask,
             cfg,
@@ -552,6 +547,8 @@ impl<'p, T: Tracer, S: StageSet> StagedCore<'p, T, S> {
         if target <= self.now {
             return;
         }
+        #[cfg(debug_assertions)]
+        self.assert_scheduler_invariants();
         let skipped = target - self.now;
         self.stats.idle_cycles += skipped;
         let n = self.ctxs.len();
@@ -589,8 +586,8 @@ impl<'p, T: Tracer, S: StageSet> StagedCore<'p, T, S> {
             (c.int_map, c.fp_map)
         };
         for i in 0..32 {
-            self.rf.write(RegClass::Int, int_map[i], int_regs[i]);
-            self.rf.write(RegClass::Fp, fp_map[i], fp_regs[i].to_bits());
+            self.write_preg(RegClass::Int, int_map[i], int_regs[i]);
+            self.write_preg(RegClass::Fp, fp_map[i], fp_regs[i].to_bits());
         }
         let c = &mut self.ctxs[self.root_ctx];
         c.pc = pc;
@@ -669,8 +666,8 @@ impl<'p, T: Tracer, S: StageSet> StagedCore<'p, T, S> {
             (c.int_map, c.fp_map)
         };
         for i in 0..32 {
-            self.rf.write(RegClass::Int, int_map[i], int_regs[i]);
-            self.rf.write(RegClass::Fp, fp_map[i], fp_regs[i].to_bits());
+            self.write_preg(RegClass::Int, int_map[i], int_regs[i]);
+            self.write_preg(RegClass::Fp, fp_map[i], fp_regs[i].to_bits());
         }
         let c = &mut self.ctxs[self.root_ctx];
         c.pc = pc;
@@ -717,9 +714,7 @@ impl<'p, T: Tracer, S: StageSet> StagedCore<'p, T, S> {
         }
         // Everything scheduled belongs to squashed uops now.
         self.events.clear();
-        self.iq.clear();
-        self.fq.clear();
-        self.mq.clear();
+        self.sched.clear();
         self.reissue_origin = None;
         // Reset the front end onto the committed path. Branch history and
         // the RAS stay as they are: both are micro-architectural and
@@ -747,6 +742,10 @@ impl<'p, T: Tracer, S: StageSet> StagedCore<'p, T, S> {
     /// jump target is clamped so the watchdog and `max_cycles` checks in
     /// [`Machine::run`] fire at exactly the same cycle either way.
     fn fast_forward_idle(&mut self) {
+        // A lost wakeup makes the machine look idle; check the scheduler
+        // before jumping over the cycles the periodic sweep would visit.
+        #[cfg(debug_assertions)]
+        self.assert_scheduler_invariants();
         let cap = self
             .cfg
             .max_cycles
@@ -832,9 +831,9 @@ impl<'p, T: Tracer, S: StageSet> StagedCore<'p, T, S> {
             mem: self.mem_sys.stats(),
             mem_words: self.memory.access_counts(),
             events: self.events.len(),
-            iq: self.iq.len(),
-            fq: self.fq.len(),
-            mq: self.mq.len(),
+            iq: self.queue_occupancy(ExecUnit::Int),
+            fq: self.queue_occupancy(ExecUnit::Fp),
+            mq: self.queue_occupancy(ExecUnit::Mem),
             rob,
             fetch_buffered,
             store_buffered,
@@ -888,9 +887,9 @@ impl<'p, T: Tracer, S: StageSet> StagedCore<'p, T, S> {
             // during this cycle's accesses.
             let ev = Event::Occupancy {
                 rob: self.rob_occupancy() as u64,
-                iq: self.iq.len() as u64,
-                fq: self.fq.len() as u64,
-                mq: self.mq.len() as u64,
+                iq: self.queue_occupancy(ExecUnit::Int) as u64,
+                fq: self.queue_occupancy(ExecUnit::Fp) as u64,
+                mq: self.queue_occupancy(ExecUnit::Mem) as u64,
             };
             self.tracer.record(self.now, ev);
             for fill in self.mem_sys.obs_drain() {
@@ -937,6 +936,7 @@ impl<'p, T: Tracer, S: StageSet> StagedCore<'p, T, S> {
         if let Err(e) = self.rf.check_consistency() {
             panic!("cycle {}: physical register file corrupt: {e}", self.now);
         }
+        self.assert_scheduler_invariants();
     }
 
     fn finalize_stats(&mut self) {
@@ -1044,9 +1044,9 @@ impl<'p, T: Tracer, S: StageSet> StagedCore<'p, T, S> {
     pub fn occupancy(&self) -> (usize, usize, usize, usize, usize, usize, usize) {
         (
             self.rob_occupancy(),
-            self.iq.len(),
-            self.fq.len(),
-            self.mq.len(),
+            self.queue_occupancy(ExecUnit::Int),
+            self.queue_occupancy(ExecUnit::Fp),
+            self.queue_occupancy(ExecUnit::Mem),
             self.events.len(),
             self.rf.free_count(RegClass::Int),
             self.rf.free_count(RegClass::Fp),
@@ -1069,15 +1069,6 @@ impl<'p, T: Tracer, S: StageSet> StagedCore<'p, T, S> {
             .position(|c| c.state == CtxState::Free && c.free_at <= self.now)
     }
 
-    /// Queue for an execution-unit class.
-    pub(crate) fn queue_for(&mut self, unit: ExecUnit) -> &mut Vec<(UopId, u32)> {
-        match unit {
-            ExecUnit::Int => &mut self.iq,
-            ExecUnit::Fp => &mut self.fq,
-            ExecUnit::Mem => &mut self.mq,
-        }
-    }
-
     /// Capacity of the queue for a unit class.
     pub(crate) fn queue_cap(&self, unit: ExecUnit) -> usize {
         match unit {
@@ -1085,17 +1076,6 @@ impl<'p, T: Tracer, S: StageSet> StagedCore<'p, T, S> {
             ExecUnit::Fp => self.cfg.fq_entries,
             ExecUnit::Mem => self.cfg.mq_entries,
         }
-    }
-
-    /// Live occupancy of a queue (purges dead entries as a side effect).
-    pub(crate) fn queue_len(&mut self, unit: ExecUnit) -> usize {
-        // Take the buffer out so `retain` can borrow `self.uops`; the same
-        // allocation goes back, so this never allocates.
-        let mut q = std::mem::take(self.queue_for(unit));
-        q.retain(|&(id, g)| self.uops.is_live(id, g));
-        let len = q.len();
-        *self.queue_for(unit) = q;
-        len
     }
 
     /// Total in-flight uops across all contexts (ROB occupancy).

@@ -3,7 +3,7 @@
 
 use super::StagedCore;
 use crate::context::{CtxState, FetchedInst};
-use crate::framework::{SpawnPolicy, StageSet};
+use crate::framework::{IssueStage, SpawnPolicy, StageSet};
 use crate::regfile::RegClass;
 use crate::uop::{BranchInfo, CtxId, DstOperand, SrcOperand, Uop, UopId, UopState, VpInfo};
 use mtvp_isa::{Def, Op};
@@ -51,7 +51,7 @@ impl<T: Tracer, S: StageSet> StagedCore<'_, T, S> {
         let needs_queue = !matches!(inst.op, Op::Nop | Op::Halt);
         if needs_queue {
             let unit = inst.unit();
-            if self.queue_len(unit) >= self.queue_cap(unit) {
+            if self.queue_occupancy(unit) >= self.queue_cap(unit) {
                 return false;
             }
         }
@@ -149,6 +149,7 @@ impl<T: Tracer, S: StageSet> StagedCore<'_, T, S> {
             eff_addr: None,
             store_data: None,
             in_queue: needs_queue,
+            issue_epoch: 0,
             exec_token: 0,
             exec_value: None,
             resolved_taken: false,
@@ -160,9 +161,11 @@ impl<T: Tracer, S: StageSet> StagedCore<'_, T, S> {
             self.ctxs[ctx].lsq.push_back((seq, id));
         }
         if needs_queue {
-            let unit = inst.unit();
-            self.queue_for(unit).push((id, generation));
+            self.sched.queued[inst.unit() as usize] += 1;
             self.ctxs[ctx].queued_count += 1;
+            if S::Issue::WAKEUP {
+                self.enqueue_for_issue(id, generation);
+            }
         }
         if T::ENABLED {
             let ev = Event::Rename {
@@ -279,7 +282,7 @@ impl<T: Tracer, S: StageSet> StagedCore<'_, T, S> {
                     // Single-threaded VP: insert the predicted value into the
                     // load's destination register right away.
                     if let Some((preg, regclass)) = dest_preg_class {
-                        self.rf.write(regclass, preg, v);
+                        self.write_preg(regclass, preg, v);
                     }
                     self.uops.get_mut(load).vp.stvp_value = Some(v);
                     self.predictor.spec_update(pc, v);
@@ -378,7 +381,7 @@ impl<T: Tracer, S: StageSet> StagedCore<'_, T, S> {
             // and point the child at a fresh register holding `v`.
             self.rf.decref(d.class, d.preg);
             let fresh = self.rf.alloc(d.class).expect("checked free above");
-            self.rf.write(d.class, fresh, v);
+            self.write_preg(d.class, fresh, v);
             match d.class {
                 RegClass::Int => self.ctxs[child].int_map[d.arch as usize] = fresh,
                 RegClass::Fp => self.ctxs[child].fp_map[d.arch as usize] = fresh,

@@ -115,8 +115,13 @@ pub struct Uop {
     pub eff_addr: Option<u64>,
     /// Store data value once read (stores).
     pub store_data: Option<u64>,
-    /// Whether this uop currently occupies an issue-queue slot.
+    /// Whether this uop is waiting in an issue queue (renamed or
+    /// redispatched, not yet issued).
     pub in_queue: bool,
+    /// The issue stage (the machine's issue epoch) that last issued this
+    /// uop. An issued uop keeps its queue slot until the next issue stage
+    /// starts, so it still holds one while this equals the current epoch.
+    pub issue_epoch: u64,
     /// Execution token: bumped on every (re)issue so stale completion
     /// events from a superseded execution are dropped.
     pub exec_token: u32,
@@ -132,10 +137,17 @@ pub struct Uop {
 impl Uop {
     /// Whether every source operand is ready in `rf`.
     pub fn srcs_ready(&self, rf: &crate::regfile::PhysRegFile) -> bool {
+        self.unready_src(rf).is_none()
+    }
+
+    /// The first source operand not yet ready in `rf`, if any.
+    #[inline]
+    pub fn unready_src(&self, rf: &crate::regfile::PhysRegFile) -> Option<SrcOperand> {
         self.srcs
             .iter()
             .flatten()
-            .all(|s| rf.is_ready(s.class, s.preg))
+            .copied()
+            .find(|s| !rf.is_ready(s.class, s.preg))
     }
 }
 
@@ -237,6 +249,7 @@ mod tests {
             eff_addr: None,
             store_data: None,
             in_queue: false,
+            issue_epoch: 0,
             exec_token: 0,
             exec_value: None,
             resolved_taken: false,
